@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 
 #include "common/failpoint.h"
@@ -171,6 +172,8 @@ class RankSlots {
     db::exec::TopK topk;
     std::vector<db::RowId> rows;       ///< gather scratch
     std::vector<double> rank, unit;    ///< ScoreBlock outputs
+    std::vector<double> kth;                 ///< pre-selection scratch
+    std::vector<db::exec::TopKEntry> cands;  ///< pre-selection output
     std::size_t blocks_visited = 0;
     std::size_t blocks_skipped = 0;
     std::size_t rows_pruned = 0;
@@ -534,6 +537,17 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   // Requires the id-keyed SimScorer; the string-keyed oracle path keeps the
   // serial shape below.
   if (options.use_topk_rank && scorer.has_value()) {
+    // Tombstoned rows join `already`, so the sweeps below skip them with
+    // the same bitmap test as the exact answers (the relaxation plans never
+    // return them, so dedup is unaffected).
+    if (delta != nullptr) {
+      for (db::RowId row : delta->retired_base()) already.Set(row);
+      for (std::size_t i = 0; i < delta->num_rows(); ++i) {
+        if (delta->delta_retired(i)) {
+          already.Set(static_cast<db::RowId>(base_rows + i));
+        }
+      }
+    }
     const std::size_t cap = options.answer_cap;
     const std::size_t k =
         out.answers.size() < cap ? cap - out.answers.size() : 0;
@@ -568,14 +582,35 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           sl.unit[i] = p.unit_sim;
         }
       }
+      // Pre-selection: a candidate strictly below the shared threshold is
+      // outside the global top-k, one below the slot's own threshold cannot
+      // enter it, and one below the batch's own k-th best score has k better
+      // batch-mates. Only the rest reach the heap.
+      double floor = std::max(sl.topk.threshold(),
+                              shared_threshold.load(std::memory_order_relaxed));
+      auto eligible = [&](std::size_t i) {
+        return sl.rank[i] >= floor && (!require_positive || sl.unit[i] > 0.0);
+      };
+      sl.kth.clear();
       for (std::size_t i = 0; i < n; ++i) {
-        if (require_positive && sl.unit[i] <= 0.0) continue;
-        if (sl.topk.Push(sl.rank[i], sl.rows[i],
-                         static_cast<std::uint32_t>(dropped)) &&
-            sl.topk.full()) {
-          RaiseThreshold(&shared_threshold, sl.topk.threshold(),
-                         &sl.threshold_updates);
+        if (eligible(i)) sl.kth.push_back(sl.rank[i]);
+      }
+      if (k > 0 && sl.kth.size() > k) {
+        std::nth_element(sl.kth.begin(),
+                         sl.kth.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                         sl.kth.end(), std::greater<double>());
+        floor = sl.kth[k - 1];
+      }
+      const auto tag = static_cast<std::uint32_t>(dropped);
+      sl.cands.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (eligible(i)) {
+          sl.cands.push_back(db::exec::TopKEntry{sl.rank[i], sl.rows[i], tag});
         }
+      }
+      if (sl.topk.PushBatch(&sl.cands) && sl.topk.full()) {
+        RaiseThreshold(&shared_threshold, sl.topk.threshold(),
+                       &sl.threshold_updates);
       }
       sl.rows.clear();
     };
@@ -698,12 +733,23 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       const bool par_sweep =
           runner != nullptr &&
           base_rows >= db::exec::kMinRowsForParallelExec;
+      // Best bound first: the threshold then rises within the first blocks
+      // and the rest skip. The kept top-k does not depend on the order.
+      std::vector<std::size_t> order(nb);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      if (prunable) {
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return ub[a] > ub[b];
+                         });
+      }
       auto body = [&](std::size_t m) {
         const std::size_t s_idx = slots.Acquire();
         RankSlots::Slot& sl = slots.slot(s_idx);
-        const std::size_t b_lo = m * kBlocksPerMorsel;
-        const std::size_t b_hi = std::min(b_lo + kBlocksPerMorsel, nb);
-        for (std::size_t b = b_lo; b < b_hi; ++b) {
+        const std::size_t o_lo = m * kBlocksPerMorsel;
+        const std::size_t o_hi = std::min(o_lo + kBlocksPerMorsel, nb);
+        for (std::size_t o = o_lo; o < o_hi; ++o) {
+          const std::size_t b = order[o];
           const db::RowId r_lo =
               static_cast<db::RowId>(b * db::exec::kRankBlockRows);
           const db::RowId r_hi = static_cast<db::RowId>(
@@ -718,9 +764,23 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
             }
           }
           ++sl.blocks_visited;
+          // Gather a word at a time: `already` holds the exact answers and
+          // the tombstones, and blocks start on word boundaries.
           sl.rows.clear();
-          for (db::RowId r = r_lo; r < r_hi; ++r) {
-            if (!already.Test(r) && is_live(r)) sl.rows.push_back(r);
+          const std::uint64_t* taken = already.word_data();
+          for (db::RowId base = r_lo; base < r_hi; base += 64) {
+            std::uint64_t free = ~taken[base / 64];
+            if (r_hi - base < 64) {
+              free &= (std::uint64_t{1} << (r_hi - base)) - 1;
+            }
+            if (free == ~std::uint64_t{0}) {
+              for (db::RowId j = 0; j < 64; ++j) sl.rows.push_back(base + j);
+              continue;
+            }
+            for (; free != 0; free &= free - 1) {
+              sl.rows.push_back(
+                  base + static_cast<db::RowId>(__builtin_ctzll(free)));
+            }
           }
           score_and_push(sl, 0, /*require_positive=*/true);
         }
@@ -737,7 +797,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
             degraded = true;
             break;
           }
-          if (already.Test(row) || !is_live(row)) continue;
+          if (already.Test(row)) continue;
           push_delta_row(row, 0, /*require_positive=*/true);
         }
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/string_util.h"
 #include "db/row_match.h"
@@ -345,30 +346,16 @@ SimScorer::SimScorer(const db::Schema& schema,
       }
       u.conds.push_back(std::move(cs));
     }
-    // ScoreBlock memo key: the sorted unique attributes the unit's
-    // similarity reads (kNoAttr placeholders resolve to the unit's own
-    // attribute, mirroring UnitSimImpl's numeric case).
-    switch (unit.kind) {
-      case MatchUnit::Kind::kIdentity:
-        u.read_attrs = u.identity_attrs;
-        break;
-      case MatchUnit::Kind::kTypeII:
-        u.read_attrs = UniqueCondAttrs(unit);
-        break;
-      case MatchUnit::Kind::kTypeIII:
-      case MatchUnit::Kind::kAmbiguous:
-        for (const Condition& c : unit.conds) {
-          u.read_attrs.push_back(c.attr == kNoAttr ? unit.attr : c.attr);
-        }
-        std::sort(u.read_attrs.begin(), u.read_attrs.end());
-        u.read_attrs.erase(
-            std::unique(u.read_attrs.begin(), u.read_attrs.end()),
-            u.read_attrs.end());
-        break;
+    // ScoreBlock memo key of a string unit: the sorted unique attributes
+    // its similarity reads. Numeric units score from the packed columns.
+    if (unit.kind == MatchUnit::Kind::kIdentity) {
+      u.read_attrs = u.identity_attrs;
+    } else if (unit.kind == MatchUnit::Kind::kTypeII) {
+      u.read_attrs = UniqueCondAttrs(unit);
     }
     units_.push_back(std::move(u));
   }
-  unit_memo_.resize(units_.size());
+  memo_.resize(units_.size());
 }
 
 double SimScorer::FeatSimIds(const ValueToks& a, const std::string& a_raw,
@@ -487,49 +474,110 @@ PartialScore SimScorer::Score(const db::Table& table, db::RowId row,
   return out;
 }
 
+void SimScorer::DenseMemo(const db::Table& table, std::size_t u) {
+  std::vector<double>& by_code = memo_[u].by_code;
+  const std::size_t dict =
+      table.store().dictionary(units_[u].read_attrs[0]).size();
+  if (by_code.size() != dict) {
+    by_code.assign(dict, std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
+double SimScorer::CodeSim(const db::Table& table, std::size_t u,
+                          std::uint32_t code, db::RowId row) {
+  CodeMemo& memo = memo_[u];
+  double& slot = code == db::ColumnStore::kNullCode ? memo.null_sim
+                                                    : memo.by_code[code];
+  if (std::isnan(slot)) {
+    RowRef ref;
+    ref.schema = &table.schema();
+    ref.table = &table;
+    ref.row = row;
+    slot = UnitSimImpl(ref, units_[u]);
+  }
+  return slot;
+}
+
+void SimScorer::NumSimColumn(const db::Table& table, const UnitSim& unit,
+                             const db::RowId* rows, std::size_t n,
+                             double* sims) const {
+  // Cond-major over the packed columns; each row still folds its conds in
+  // UnitSimImpl's order with the same std::max, so the doubles match.
+  std::fill(sims, sims + n, 0.0);
+  for (const CondSim& cs : unit.conds) {
+    const Condition& c = *cs.cond;
+    const std::size_t attr = c.attr == kNoAttr ? unit.unit->attr : c.attr;
+    const double target =
+        c.op == db::CompareOp::kBetween ? (c.lo + c.hi) / 2.0 : c.lo;
+    const double range =
+        attr < ctx_->attr_ranges.size() ? ctx_->attr_ranges[attr] : 0.0;
+    const auto& packed = table.store().numeric_column(attr);
+    const double* vals = packed.empty() ? nullptr : packed.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = vals != nullptr ? vals[rows[i]]
+                                 : std::numeric_limits<double>::quiet_NaN();
+      if (std::isnan(v)) {
+        // NULL, a stored NaN, or a text column: decide from the cell
+        // exactly as UnitSimImpl does.
+        const db::Value& cell = table.cell(rows[i], attr);
+        if (!cell.is_numeric()) continue;
+        v = cell.AsDouble();
+      }
+      sims[i] = std::max(sims[i], NumSim(target, v, range));
+    }
+  }
+}
+
 void SimScorer::ScoreBlock(const db::Table& table, const db::RowId* rows,
                            std::size_t n, std::size_t dropped_unit,
                            double* rank_sims, double* unit_sims) {
   const UnitSim& unit = units_[dropped_unit];
-  const double exact_part = static_cast<double>(units_.size()) - 1.0;
-  RowRef ref;
-  ref.schema = &table.schema();
-  ref.table = &table;
-
+  // Unit similarities land in `sims`; Eq. 5's exact part is added last.
+  double* sims = unit_sims != nullptr ? unit_sims : rank_sims;
+  const MatchUnit::Kind kind = unit.unit->kind;
   const std::size_t num_attrs = unit.read_attrs.size();
-  if (num_attrs == 0 || num_attrs > 2) {
-    // No cells read, or too wide for the u64 code-tuple key: score row by
-    // row (question shapes never get here in practice — units read one or
-    // two attributes).
+  if (kind == MatchUnit::Kind::kTypeIII ||
+      kind == MatchUnit::Kind::kAmbiguous) {
+    NumSimColumn(table, unit, rows, n, sims);
+  } else if (num_attrs == 1) {
+    const std::uint32_t* codes =
+        table.store().code_column(unit.read_attrs[0]).data();
+    DenseMemo(table, dropped_unit);
+    for (std::size_t i = 0; i < n; ++i) {
+      sims[i] = CodeSim(table, dropped_unit, codes[rows[i]], rows[i]);
+    }
+  } else if (num_attrs == 2) {
+    const std::uint32_t* c0 =
+        table.store().code_column(unit.read_attrs[0]).data();
+    const std::uint32_t* c1 =
+        table.store().code_column(unit.read_attrs[1]).data();
+    auto& memo = memo_[dropped_unit].by_pair;
+    RowRef ref;
+    ref.schema = &table.schema();
+    ref.table = &table;
+    for (std::size_t i = 0; i < n; ++i) {
+      const db::RowId r = rows[i];
+      const std::uint64_t key = (std::uint64_t{c0[r]} << 32) | c1[r];
+      auto it = memo.find(key);
+      if (it == memo.end()) {
+        ref.row = r;
+        it = memo.emplace(key, UnitSimImpl(ref, unit)).first;
+      }
+      sims[i] = it->second;
+    }
+  } else {
+    // No cells read, or too wide for a code-pair key: row by row (question
+    // shapes never get here in practice).
+    RowRef ref;
+    ref.schema = &table.schema();
+    ref.table = &table;
     for (std::size_t i = 0; i < n; ++i) {
       ref.row = rows[i];
-      const double s = UnitSimImpl(ref, unit);
-      rank_sims[i] = exact_part + s;
-      if (unit_sims != nullptr) unit_sims[i] = s;
+      sims[i] = UnitSimImpl(ref, unit);
     }
-    return;
   }
-
-  // Dictionary codes determine cells, cells determine elements, so the
-  // code tuple over read_attrs determines the similarity. kNullCode keys
-  // like any other code (the null cell's similarity is memoized too).
-  const std::uint32_t* c0 = table.store().code_column(unit.read_attrs[0]).data();
-  const std::uint32_t* c1 =
-      num_attrs == 2 ? table.store().code_column(unit.read_attrs[1]).data()
-                     : nullptr;
-  auto& memo = unit_memo_[dropped_unit];
-  for (std::size_t i = 0; i < n; ++i) {
-    const db::RowId r = rows[i];
-    std::uint64_t key = c0[r];
-    if (c1 != nullptr) key = (key << 32) | c1[r];
-    auto it = memo.find(key);
-    if (it == memo.end()) {
-      ref.row = r;
-      it = memo.emplace(key, UnitSimImpl(ref, unit)).first;
-    }
-    rank_sims[i] = exact_part + it->second;
-    if (unit_sims != nullptr) unit_sims[i] = it->second;
-  }
+  const double exact_part = static_cast<double>(units_.size()) - 1.0;
+  for (std::size_t i = 0; i < n; ++i) rank_sims[i] = exact_part + sims[i];
 }
 
 namespace {
@@ -613,32 +661,19 @@ bool SimScorer::ComputeBlockBounds(const db::Table& table,
   const std::size_t dict_size = ab.first_row_of_code.size();
   if (dict_size > kMaxDictForRankBounds) return false;
 
-  RowRef ref;
-  ref.schema = &table.schema();
-  ref.table = &table;
-  auto& memo = unit_memo_[dropped_unit];
-
+  DenseMemo(table, dropped_unit);
   std::vector<double> code_sims(dict_size, 0.0);
   for (std::size_t c = 0; c < dict_size; ++c) {
     const db::RowId rep = ab.first_row_of_code[c];
     if (rep == db::exec::kNoRankRow) continue;  // code in no row: unreachable
-    auto it = memo.find(c);
-    if (it == memo.end()) {
-      ref.row = rep;
-      it = memo.emplace(c, UnitSimImpl(ref, unit)).first;
-    }
-    code_sims[c] = it->second;
+    code_sims[c] =
+        CodeSim(table, dropped_unit, static_cast<std::uint32_t>(c), rep);
   }
-  double null_sim = 0.0;
-  if (ab.first_null_row != db::exec::kNoRankRow) {
-    const std::uint64_t null_key = db::ColumnStore::kNullCode;
-    auto it = memo.find(null_key);
-    if (it == memo.end()) {
-      ref.row = ab.first_null_row;
-      it = memo.emplace(null_key, UnitSimImpl(ref, unit)).first;
-    }
-    null_sim = it->second;
-  }
+  const double null_sim =
+      ab.first_null_row == db::exec::kNoRankRow
+          ? 0.0
+          : CodeSim(table, dropped_unit, db::ColumnStore::kNullCode,
+                    ab.first_null_row);
 
   const RangeMax range_max(std::move(code_sims));
   out_bounds->assign(nb, 0.0);

@@ -18,6 +18,7 @@
 #define CQADS_CORE_RANK_SIM_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -103,14 +104,20 @@ class SimScorer {
                      std::size_t dropped_unit);
 
   /// Batched Eq. 5 over BASE-table rows for one dropped unit: fills
-  /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i]. A unit's
-  /// similarity is a pure function of the row's dictionary codes on the
-  /// unit's read attributes (same codes → same cells → same elements), so
-  /// scores are memoized per distinct code tuple when the unit reads at
-  /// most two attributes — byte-identical to Score() row by row, with the
-  /// RowRef adapter, memo probes, and measure-string composition hoisted
-  /// out of the candidate loop. RankStage's full-table and relaxation
-  /// sweeps use this under EngineOptions::use_vector_kernels.
+  /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i], column at a
+  /// time and byte-identical to Score() row by row:
+  ///   * Type III / ambiguous units read Num_Sim's record value straight
+  ///     from ColumnStore::numeric_column; a NaN slot (NULL, or a column
+  ///     without packed values) falls back to the cell, so the non-numeric
+  ///     skip stays exact. No memo.
+  ///   * Identity / Type II units are a pure function of the row's
+  ///     dictionary codes on their read attributes (same codes -> same
+  ///     cells -> same elements): one read attribute memoizes into a dense
+  ///     table indexed by code (plus one kNullCode slot), two attributes
+  ///     (composite identities) into a code-pair map.
+  /// A scorer's code memo belongs to one table: score one table per
+  /// instance. RankStage's full-table and relaxation sweeps use this under
+  /// EngineOptions::use_vector_kernels.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);
@@ -132,8 +139,8 @@ class SimScorer {
   /// Numeric units are bounded exactly: Num_Sim (Eq. 4) is unimodal in the
   /// record value, peaking where the value equals the question's target, so
   /// the block's bound is Num_Sim at the target clamped into the block's
-  /// [val_min, val_max]. Representative-row similarities are inserted into
-  /// the ScoreBlock memo, so visited blocks never recompute them.
+  /// [val_min, val_max]. Representative-row similarities fill ScoreBlock's
+  /// dense code table, so visited blocks never recompute them.
   bool ComputeBlockBounds(const db::Table& table,
                           const db::exec::RankBounds& bounds,
                           std::size_t dropped_unit,
@@ -173,12 +180,36 @@ class SimScorer {
     std::vector<std::size_t> identity_attrs;  ///< sorted unique Type I attrs
     text::TermId value_ti_id = text::kInvalidTerm;  ///< unit.value in TI
     std::string measure;                      ///< Table 2 label
-    /// Sorted unique attributes this unit's similarity reads — the code
-    /// tuple over these is ScoreBlock's memo key.
+    /// Identity / Type II: sorted unique attributes the similarity reads —
+    /// the code tuple over these is ScoreBlock's memo key. Empty for
+    /// numeric units.
     std::vector<std::size_t> read_attrs;
   };
 
+  /// ScoreBlock's memo for one Identity / Type II unit.
+  struct CodeMemo {
+    /// One read attribute: similarity by dictionary code, NaN until first
+    /// computed; sized to the scored column's dictionary on first use.
+    std::vector<double> by_code;
+    double null_sim = std::numeric_limits<double>::quiet_NaN();  ///< kNullCode
+    /// Two read attributes: similarity by (c0 << 32) | c1.
+    std::unordered_map<std::uint64_t, double> by_pair;
+  };
+
   struct RowRef;  // table-or-record adapter (defined in the .cc)
+
+  /// Sizes unit `u`'s dense code table to `table`'s dictionary on its one
+  /// read attribute.
+  void DenseMemo(const db::Table& table, std::size_t u);
+  /// The memoized similarity of unit `u` for dictionary `code` on its one
+  /// read attribute, computed from `row` (which carries that code) on a
+  /// miss. DenseMemo must have sized the table.
+  double CodeSim(const db::Table& table, std::size_t u, std::uint32_t code,
+                 db::RowId row);
+  /// Num_Sim column at a time for a Type III / ambiguous unit: sims[i] =
+  /// the unit's similarity of rows[i].
+  void NumSimColumn(const db::Table& table, const UnitSim& unit,
+                    const db::RowId* rows, std::size_t n, double* sims) const;
 
   double UnitSimImpl(const RowRef& row, const UnitSim& unit);
   double IdentitySimIds(const RowRef& row, const UnitSim& unit);
@@ -193,9 +224,8 @@ class SimScorer {
   /// Record-side memo tables (hits AND misses are cached).
   std::unordered_map<std::string, ValueToks> element_toks_;
   std::unordered_map<std::string, text::TermId> ti_ids_;
-  /// Per unit: similarity by the code tuple of the unit's read attributes
-  /// (ScoreBlock only; (c0 << 32) | c1, or c0 for single-attribute units).
-  std::vector<std::unordered_map<std::uint64_t, double>> unit_memo_;
+  /// Per unit: ScoreBlock's code memo (unused by numeric units).
+  std::vector<CodeMemo> memo_;
 };
 
 }  // namespace cqads::core

@@ -27,6 +27,7 @@
 #define CQADS_DB_EXEC_TOPK_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -91,6 +92,29 @@ class TopK {
     heap_.push_back(TopKEntry{score, row, tag});
     std::push_heap(heap_.begin(), heap_.end(), TopKBetter);
     return full();
+  }
+
+  /// Pushes a batch of candidates (distinct rows), pre-selecting the
+  /// batch's own best k first: an entry with k better batch-mates can never
+  /// be kept, so an O(n) nth_element stands in for one heap adjustment per
+  /// accepted candidate. Same kept set as pushing every entry. `batch` is
+  /// reordered and truncated. Returns true when the threshold tightened.
+  bool PushBatch(std::vector<TopKEntry>* batch) {
+    if (batch->size() > k_) {
+      // A lambda, not the function pointer, so the comparison inlines.
+      std::nth_element(batch->begin(),
+                       batch->begin() + static_cast<std::ptrdiff_t>(k_),
+                       batch->end(),
+                       [](const TopKEntry& a, const TopKEntry& b) {
+                         return TopKBetter(a, b);
+                       });
+      batch->resize(k_);
+    }
+    bool tightened = false;
+    for (const TopKEntry& e : *batch) {
+      if (Push(e.score, e.row, e.tag)) tightened = true;
+    }
+    return tightened;
   }
 
   /// Destructive extraction in answer order (best first).

@@ -369,6 +369,37 @@ TEST_F(NetServeTest, UnknownMethodAnswersInvalidArgument) {
   EXPECT_EQ(rejected.value().status, "invalid_argument");
 }
 
+TEST_F(NetServeTest, OverlongQuestionAnswersInvalidArgumentAndStaysOpen) {
+  NetServer::Options options;
+  options.unix_path = SocketPath();
+  auto server = StartServer(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto client = NetClient::ConnectUnix(server.value()->unix_path());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  // One byte over the cap: refused before it reaches a serving worker.
+  std::string overlong;
+  while (overlong.size() <= kMaxQuestionBytes) overlong += "zqxv ";
+  overlong.resize(kMaxQuestionBytes + 1);
+  auto rejected = client.value().Call(MakeAsk(7, overlong));
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  EXPECT_EQ(rejected.value().id, 7u);
+  EXPECT_EQ(rejected.value().status, "invalid_argument");
+  EXPECT_NE(rejected.value().error.find("longer than"), std::string::npos)
+      << rejected.value().error;
+
+  // Exactly at the cap: served like any other question.
+  std::string at_cap = (*questions_)[0];
+  while (at_cap.size() < kMaxQuestionBytes) at_cap += " blue";
+  at_cap.resize(kMaxQuestionBytes);
+  ExpectParity(client.value(), 8, at_cap);
+
+  // The connection survived the refusal and still answers normally.
+  ExpectParity(client.value(), 9, (*questions_)[0]);
+  EXPECT_EQ(server.value()->net_stats().protocol_errors, 0u);
+  EXPECT_EQ(server.value()->stats().errors, 0u);
+}
+
 TEST_F(NetServeTest, ConcurrentClientsKeepByteParity) {
   NetServer::Options options;
   options.unix_path = SocketPath();

@@ -12,6 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "common/rng.h"
 #include "core/cqads_engine.h"
 #include "core/pipeline.h"
+#include "core/rank_sim.h"
 #include "datagen/domain_spec.h"
 #include "datagen/question_gen.h"
 #include "datagen/world.h"
@@ -121,6 +125,42 @@ TEST(TopKTest, MergeIsScheduleIndependent) {
         EXPECT_EQ(got[i].score, want[i].score) << workers << " " << salt;
         EXPECT_EQ(got[i].row, want[i].row) << workers << " " << salt;
       }
+    }
+  }
+}
+
+TEST(TopKTest, PushBatchKeepsWhatPerEntryPushKeeps) {
+  // Batches with heavy score ties, larger and smaller than k, pushed into a
+  // heap that is already part full: pre-selecting each batch's best k must
+  // keep exactly what pushing its entries one by one keeps.
+  Rng rng(99);
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                        std::size_t{30}}) {
+    TopK batched(k), single(k);
+    for (int round = 0; round < 40; ++round) {
+      const auto n = static_cast<std::size_t>(rng.UniformInt(0, 90));
+      std::vector<TopKEntry> batch;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Rows are distinct (the low 12 bits are unique per entry) but
+        // arrive out of order, so ties cut both ways.
+        const RowId row = static_cast<RowId>(
+            rng.UniformInt(0, 500) * 4096 + round * 100 +
+            static_cast<std::int64_t>(i));
+        const double score = static_cast<double>(rng.UniformInt(0, 6)) / 2.0;
+        batch.push_back(TopKEntry{score, row, static_cast<std::uint32_t>(i)});
+        single.Push(score, row, static_cast<std::uint32_t>(i));
+      }
+      batched.PushBatch(&batch);
+      EXPECT_LE(batch.size(), k);
+      ASSERT_EQ(batched.threshold(), single.threshold()) << k << " " << round;
+    }
+    const auto got = batched.Take();
+    const auto want = single.Take();
+    ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].score, want[i].score) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got[i].row, want[i].row) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got[i].tag, want[i].tag) << "k=" << k << " i=" << i;
     }
   }
 }
@@ -372,6 +412,309 @@ TEST_F(TieBoundaryTest, DeltaRowsAndTombstonesStayByteIdentical) {
 
   ASSERT_TRUE(engine_.CompactDomain("cars").ok());
   ExpectParity(questions);
+}
+
+// ------------------------------- columnar ScoreBlock vs the scalar scorer
+
+std::uint64_t Bits(double d) {
+  std::uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+core::Condition NumCond(std::size_t attr, db::CompareOp op, double lo,
+                        double hi = 0.0) {
+  core::Condition c;
+  c.kind = core::Condition::Kind::kTypeIIIBound;
+  c.attr = attr;
+  c.op = op;
+  c.lo = lo;
+  c.hi = hi;
+  return c;
+}
+
+core::Condition TextCond(core::Condition::Kind kind, std::size_t attr,
+                         const std::string& value) {
+  core::Condition c;
+  c.kind = kind;
+  c.attr = attr;
+  c.value = value;
+  return c;
+}
+
+core::MatchUnit MakeUnit(core::MatchUnit::Kind kind, std::size_t attr,
+                         std::string value,
+                         std::vector<core::Condition> conds) {
+  core::MatchUnit u;
+  u.kind = kind;
+  u.attr = attr;
+  u.value = std::move(value);
+  u.conds = std::move(conds);
+  return u;
+}
+
+/// The world's cars cycled out to several 1024-row blocks, with NULL cells
+/// in every column and a quarter of the numerics stored as integers.
+db::Table NullyCars(const db::Table& src, std::size_t rows) {
+  Rng rng(4242);
+  db::Table out(src.schema());
+  for (std::size_t i = 0; i < rows; ++i) {
+    db::Record rec = src.row(static_cast<RowId>(i % src.num_rows()));
+    for (db::Value& v : rec) {
+      if (rng.Bernoulli(0.08)) {
+        v = db::Value::Null();
+      } else if (v.is_numeric() && rng.Bernoulli(0.25)) {
+        v = db::Value::Int(static_cast<std::int64_t>(v.AsDouble()));
+      }
+    }
+    EXPECT_TRUE(out.Insert(std::move(rec)).ok());
+  }
+  out.BuildIndexes();
+  return out;
+}
+
+class ColumnarScoreTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    datagen::WorldOptions options;
+    options.seed = 20111130;
+    options.ads_per_domain = 600;
+    options.sessions_per_domain = 300;
+    options.corpus_docs_per_domain = 40;
+    options.domains = {"cars"};
+    auto built = datagen::World::Build(options);
+    ASSERT_TRUE(built.ok()) << built.status();
+    world_ = built.value().release();
+    table_ = new db::Table(NullyCars(*world_->table("cars"), 3500));
+  }
+  static void TearDownTestSuite() {
+    delete table_;
+    table_ = nullptr;
+    delete world_;
+    world_ = nullptr;
+  }
+
+  static std::size_t Attr(const char* name) {
+    const auto a = table_->schema().IndexOf(name);
+    EXPECT_TRUE(a.has_value()) << name;
+    return a.value_or(0);
+  }
+
+  /// One unit per ScoreBlock path: numeric multi-condition units with
+  /// kBetween targets and kNoAttr placeholders, a zero-range attribute, a
+  /// numeric condition on a text column, single-attribute identities and
+  /// Type II units (dense code table), and two-attribute units (pair memo).
+  static std::vector<core::MatchUnit> Units() {
+    using K = core::MatchUnit::Kind;
+    using CK = core::Condition::Kind;
+    const std::size_t price = Attr("price"), mileage = Attr("mileage"),
+                      year = Attr("year"), make = Attr("make"),
+                      model = Attr("model"), color = Attr("color"),
+                      doors = Attr("doors"), features = Attr("features");
+    std::vector<core::MatchUnit> units;
+    units.push_back(MakeUnit(
+        K::kTypeIII, price, "",
+        {NumCond(core::kNoAttr, db::CompareOp::kLt, 9000),
+         NumCond(price, db::CompareOp::kBetween, 4000, 12000),
+         NumCond(mileage, db::CompareOp::kGt, 80000)}));
+    units.push_back(MakeUnit(K::kAmbiguous, year, "",
+                             {NumCond(year, db::CompareOp::kEq, 2005),
+                              NumCond(price, db::CompareOp::kEq, 7000)}));
+    units.push_back(MakeUnit(K::kTypeIII, color, "",
+                             {NumCond(color, db::CompareOp::kEq, 5)}));
+    units.push_back(MakeUnit(K::kIdentity, core::kNoAttr, "honda",
+                             {TextCond(CK::kTypeI, make, "honda")}));
+    units.push_back(MakeUnit(K::kIdentity, core::kNoAttr, "toyota camry",
+                             {TextCond(CK::kTypeI, make, "toyota"),
+                              TextCond(CK::kTypeI, model, "camry")}));
+    units.push_back(MakeUnit(K::kTypeII, color, "navy",
+                             {TextCond(CK::kTypeII, color, "navy")}));
+    units.push_back(MakeUnit(K::kTypeII, features, "gps",
+                             {TextCond(CK::kTypeII, features, "gps")}));
+    units.push_back(MakeUnit(K::kTypeII, color, "red",
+                             {TextCond(CK::kTypeII, color, "red"),
+                              TextCond(CK::kTypeII, doors, "2 door")}));
+    return units;
+  }
+
+  /// Similarity resources of the world's cars over `table`, with year's
+  /// Eq. 4 range forced to zero.
+  static core::SimilarityContext Context(const db::Table& table) {
+    const auto snapshot = world_->engine().snapshot();
+    const auto* rt = snapshot->runtime("cars");
+    EXPECT_NE(rt, nullptr);
+    core::SimilarityContext ctx = snapshot->MakeSimilarityContext(*rt);
+    ctx.attr_ranges = core::ComputeAttrRanges(table);
+    ctx.attr_ranges[Attr("year")] = 0.0;
+    return ctx;
+  }
+
+  /// ScoreBlock (cold, and after ComputeBlockBounds warmed its dense
+  /// tables) against the scalar Score and the string-keyed
+  /// ScorePartialMatch, bit for bit, over random row slices of `table`.
+  static void ExpectColumnarParity(const db::Table& table, const char* label) {
+    const std::vector<core::MatchUnit> units = Units();
+    const core::SimilarityContext ctx = Context(table);
+    const auto bounds = db::exec::RankBounds::Build(table);
+    Rng rng(31337);
+    std::vector<RowId> rows;
+    for (RowId r = 0; r < table.num_rows(); ++r) {
+      if (rng.Bernoulli(0.7)) rows.push_back(r);
+    }
+    std::size_t null_cells_scored = 0;
+    for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
+      core::SimScorer reference(table.schema(), units, ctx);
+      core::SimScorer cold(table.schema(), units, ctx);
+      core::SimScorer warmed(table.schema(), units, ctx);
+      std::vector<double> ub;
+      const bool bounded =
+          warmed.ComputeBlockBounds(table, *bounds, dropped, &ub);
+      std::vector<double> rank(rows.size()), unit(rows.size()),
+          warm_rank(rows.size()), rank_only(rows.size());
+      // Uneven slices, so memo hits and misses interleave across calls.
+      for (std::size_t lo = 0; lo < rows.size();) {
+        const std::size_t n = std::min<std::size_t>(
+            rows.size() - lo, static_cast<std::size_t>(rng.UniformInt(1, 700)));
+        cold.ScoreBlock(table, rows.data() + lo, n, dropped, rank.data() + lo,
+                        unit.data() + lo);
+        warmed.ScoreBlock(table, rows.data() + lo, n, dropped,
+                          warm_rank.data() + lo, nullptr);
+        cold.ScoreBlock(table, rows.data() + lo, n, dropped,
+                        rank_only.data() + lo, nullptr);
+        lo += n;
+      }
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const RowId r = rows[i];
+        const core::PartialScore want = reference.Score(table, r, dropped);
+        const core::PartialScore seed =
+            core::ScorePartialMatch(table, r, units, dropped, ctx);
+        ASSERT_EQ(Bits(rank[i]), Bits(want.rank_sim))
+            << label << " unit " << dropped << " row " << r;
+        ASSERT_EQ(Bits(unit[i]), Bits(want.unit_sim))
+            << label << " unit " << dropped << " row " << r;
+        ASSERT_EQ(Bits(unit[i]), Bits(seed.unit_sim))
+            << label << " unit " << dropped << " row " << r;
+        ASSERT_EQ(Bits(warm_rank[i]), Bits(want.rank_sim))
+            << label << " unit " << dropped << " row " << r;
+        ASSERT_EQ(Bits(rank_only[i]), Bits(want.rank_sim))
+            << label << " unit " << dropped << " row " << r;
+        if (bounded) {
+          ASSERT_LE(unit[i], ub[r / db::exec::kRankBlockRows])
+              << label << " unit " << dropped << " row " << r;
+        }
+        for (const auto& c : units[dropped].conds) {
+          const std::size_t a =
+              c.attr == core::kNoAttr ? units[dropped].attr : c.attr;
+          if (table.store().is_null(r, a)) ++null_cells_scored;
+        }
+      }
+    }
+    EXPECT_GT(null_cells_scored, 0u) << label;
+  }
+
+  static datagen::World* world_;
+  static db::Table* table_;
+};
+
+datagen::World* ColumnarScoreTest::world_ = nullptr;
+db::Table* ColumnarScoreTest::table_ = nullptr;
+
+TEST_F(ColumnarScoreTest, ScoreBlockMatchesScalarScoreOnHeapColumns) {
+  ExpectColumnarParity(*table_, "heap");
+}
+
+TEST_F(ColumnarScoreTest, ScoreBlockMatchesScalarScoreOnMappedColumns) {
+  // The same rows restored from a snapshot: the packed, code and null
+  // columns are views into the read-only mapping. (Scoring takes its
+  // similarity resources from the world, so the engine needs no log.)
+  core::CqadsEngine engine;
+  ASSERT_TRUE(engine.AddDomain(table_, qlog::TiMatrix()).ok());
+  const std::string path = ::testing::TempDir() + "cqads_columnar_score.snap";
+  ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  auto loaded = core::CqadsEngine::OpenSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const auto loaded_snapshot = loaded.value()->snapshot();
+  const db::Table& mapped = *loaded_snapshot->runtime("cars")->table;
+  ASSERT_TRUE(mapped.store().frozen());
+  ASSERT_EQ(mapped.num_rows(), table_->num_rows());
+  ExpectColumnarParity(mapped, "mapped");
+  std::remove(path.c_str());
+}
+
+TEST_F(ColumnarScoreTest, DenseCodeTableHoldsTheNullCode) {
+  // A single-attribute unit over a column with NULL cells: the NULL rows
+  // share the kNullCode slot, and each scores exactly as the scalar path.
+  const std::size_t color = Attr("color");
+  std::vector<RowId> null_rows, all_rows;
+  for (RowId r = 0; r < table_->num_rows(); ++r) {
+    all_rows.push_back(r);
+    if (table_->store().is_null(r, color)) null_rows.push_back(r);
+  }
+  ASSERT_GT(null_rows.size(), 10u);
+  const std::vector<core::MatchUnit> units = Units();
+  const core::SimilarityContext ctx = Context(*table_);
+  const std::size_t kColorUnit = 5;
+  ASSERT_EQ(units[kColorUnit].conds[0].attr, color);
+  core::SimScorer scorer(table_->schema(), units, ctx);
+  core::SimScorer reference(table_->schema(), units, ctx);
+  // NULL rows first (the slot fills from a NULL row), then everything.
+  for (const auto* rows : {&null_rows, &all_rows}) {
+    std::vector<double> rank(rows->size()), unit(rows->size());
+    scorer.ScoreBlock(*table_, rows->data(), rows->size(), kColorUnit,
+                      rank.data(), unit.data());
+    for (std::size_t i = 0; i < rows->size(); ++i) {
+      const core::PartialScore want =
+          reference.Score(*table_, (*rows)[i], kColorUnit);
+      ASSERT_EQ(Bits(unit[i]), Bits(want.unit_sim)) << (*rows)[i];
+      ASSERT_EQ(Bits(rank[i]), Bits(want.rank_sim)) << (*rows)[i];
+    }
+  }
+}
+
+/// Thousands of copies of the MiniCar fleet over many 1024-row blocks:
+/// every block holds the same scores, so the answer cap's k-th entry ties
+/// with candidates in every block and every morsel, and only row ids
+/// decide which survive each block's pre-selection.
+class CrossBlockTieTest : public ::testing::Test {
+ protected:
+  CrossBlockTieTest() : table_(testing::MiniCarSchema()) {
+    const db::Table proto = testing::MiniCarTable();
+    for (int copy = 0; copy < 800; ++copy) {  // 10400 rows, 11 blocks
+      for (RowId r = 0; r < proto.num_rows(); ++r) {
+        EXPECT_TRUE(table_.Insert(proto.row(r)).ok());
+      }
+    }
+    table_.BuildIndexes();
+    EXPECT_TRUE(engine_.AddDomain(&table_, qlog::TiMatrix()).ok());
+    EXPECT_TRUE(engine_.TrainClassifier().ok());
+  }
+
+  db::Table table_;
+  core::CqadsEngine engine_;
+};
+
+TEST_F(CrossBlockTieTest, PreSelectionKeepsTiesAcrossBlocksAndMorsels) {
+  std::vector<datagen::GeneratedQuestion> questions;
+  for (const char* q :
+       {"blue car", "honda", "manual transmission", "cars under 9000 dollars",
+        "2006 car", "blue honda with cd player",
+        "cheap toyota under 9000 dollars", "red car with leather seats",
+        "4 door automatic with gps", "silver car with 70000 miles"}) {
+    datagen::GeneratedQuestion g;
+    g.text = q;
+    questions.push_back(g);
+  }
+  serve::WorkerPool pool(4);
+  core::EngineOptions parallel_on;
+  parallel_on.exec_runner = &pool;
+  parallel_on.exec_parallelism = 4;
+  core::EngineOptions serial_on;
+  core::EngineOptions serial_off;
+  serial_off.use_topk_rank = false;
+  ExpectAskParity(engine_, "cars", questions, parallel_on, serial_off,
+                  "parallel");
+  ExpectAskParity(engine_, "cars", questions, serial_on, serial_off,
+                  "serial");
 }
 
 // ------------------------------------------- parallel sweeps (big domain)
