@@ -4,11 +4,14 @@
 // FAQFinder because it retrieves exact matches first and only ranks partial
 // answers when needed.
 //
-// This bench also pins the planner/ColumnStore rearchitecture: the whole
-// question stream is answered once through the cost-aware planner and once
-// through the seed §4.3 Type-rank executor; any canonical-answer mismatch
-// fails the run (non-zero exit — the CI smoke step relies on it), and the
-// two ask times quantify the planner's speedup over the PR 2 baseline.
+// This bench also pins the fast path to the reference path: the whole
+// question stream is answered once through the seed reference
+// (EngineOptions::reference: Type-rank executor, pointer-trie tagger,
+// string-keyed Eq. 5, serial full sort), once through the fast path
+// (compiled vectorized plans, FlatTrie, SimScorer, pruned top-k), and once
+// from an engine reloaded from a snapshot file; any canonical-answer
+// mismatch fails the run (non-zero exit — the CI smoke step relies on it),
+// and the ask times quantify the fast path's speedup.
 //
 // Usage: fig6_efficiency [--quick]
 #include <chrono>
@@ -30,7 +33,7 @@ int main(int argc, char** argv) {
   auto questions = eval::GenerateSurveyQuestions(
       *world, quick ? 20 : 80, quick ? 20 : 82, 660);
 
-  // ---- planner vs seed-executor parity + ask-time comparison ----------
+  // ---- fast vs reference parity + ask-time comparison ----------------
   std::vector<std::pair<std::string, std::string>> stream;  // domain, text
   for (const auto& [domain, qs] : questions) {
     for (const auto& q : qs) stream.emplace_back(domain, q.text);
@@ -46,9 +49,9 @@ int main(int argc, char** argv) {
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  core::EngineOptions planner_options;  // defaults: use_planner = true
-  core::EngineOptions seed_options;
-  seed_options.use_planner = false;
+  core::EngineOptions fast_options;  // defaults: the fast path
+  core::EngineOptions reference_options;
+  reference_options.reference = true;
 
   // Untimed warmup so the first timed mode does not absorb one-time costs
   // (pipeline singletons, allocator, page cache).
@@ -56,53 +59,13 @@ int main(int argc, char** argv) {
     (void)world->engine().AskInDomain(domain, text);
   }
 
-  world->mutable_engine().SetOptions(seed_options);
-  std::vector<std::string> seed_answers;
-  const double seed_secs = ask_all(&seed_answers);
+  world->mutable_engine().SetOptions(reference_options);
+  std::vector<std::string> reference_answers;
+  const double reference_secs = ask_all(&reference_answers);
 
-  world->mutable_engine().SetOptions(planner_options);
-  std::vector<std::string> planned_answers;
-  const double planned_secs = ask_all(&planned_answers);
-
-  // Partition-sharded stores (4 shards per 500-ad domain), serial morsels:
-  // the partitioned execution path must stay canonical-answer-identical to
-  // the seed executor on the full ask stream.
-  core::EngineOptions partitioned_options;
-  partitioned_options.partition_rows = 128;
-  world->mutable_engine().SetOptions(partitioned_options);
-  std::vector<std::string> partitioned_answers;
-  const double partitioned_secs = ask_all(&partitioned_answers);
-
-  // Term-substrate parity: the whole stream once more with the interned
-  // substrate forced OFF (legacy pointer-trie tagging + string-keyed Eq. 5
-  // scoring). Every mode above ran with the substrate ON (the default), so
-  // any byte difference here is a substrate bug.
-  core::EngineOptions legacy_options;
-  legacy_options.use_term_substrate = false;
-  world->mutable_engine().SetOptions(legacy_options);
-  std::vector<std::string> legacy_answers;
-  const double legacy_secs = ask_all(&legacy_answers);
-
-  // Vector-kernel parity: the stream once more with block-at-a-time
-  // execution and batched Eq. 5 scoring forced OFF (the scalar row-at-a-
-  // time reference loops). Every mode above ran vectorized (the default),
-  // so any byte difference here is a kernel bug.
-  core::EngineOptions scalar_options;
-  scalar_options.use_vector_kernels = false;
-  world->mutable_engine().SetOptions(scalar_options);
-  std::vector<std::string> scalar_answers;
-  const double scalar_secs = ask_all(&scalar_answers);
-
-  // Top-k rank parity: the stream once more with pruned top-k partial
-  // ranking forced OFF (the serial collect-all + full-sort oracle). Every
-  // mode above ranked through the bounded top-k path (the default), so any
-  // byte difference here is a pruning/merge bug.
-  core::EngineOptions fullsort_options;
-  fullsort_options.use_topk_rank = false;
-  world->mutable_engine().SetOptions(fullsort_options);
-  std::vector<std::string> fullsort_answers;
-  const double fullsort_secs = ask_all(&fullsort_answers);
-  world->mutable_engine().SetOptions(planner_options);
+  world->mutable_engine().SetOptions(fast_options);
+  std::vector<std::string> fast_answers;
+  const double fast_secs = ask_all(&fast_answers);
 
   // Persistent-snapshot parity: save the engine, boot a second engine from
   // the file (mmap + zero-copy adoption), and serve the whole stream from
@@ -134,42 +97,22 @@ int main(int argc, char** argv) {
   }
 
   std::size_t mismatches = 0;
-  std::size_t partitioned_mismatches = 0;
-  std::size_t substrate_mismatches = 0;
-  std::size_t vector_mismatches = 0;
-  std::size_t topk_mismatches = 0;
   std::size_t snapshot_mismatches = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (seed_answers[i] != planned_answers[i]) ++mismatches;
-    if (seed_answers[i] != partitioned_answers[i]) ++partitioned_mismatches;
-    if (seed_answers[i] != legacy_answers[i]) ++substrate_mismatches;
-    if (seed_answers[i] != scalar_answers[i]) ++vector_mismatches;
-    if (seed_answers[i] != fullsort_answers[i]) ++topk_mismatches;
-    if (seed_answers[i] != snapshot_answers[i]) ++snapshot_mismatches;
+    if (reference_answers[i] != fast_answers[i]) ++mismatches;
+    if (reference_answers[i] != snapshot_answers[i]) ++snapshot_mismatches;
   }
 
-  bench::PrintHeader("planner vs seed executor (full ask path)");
+  bench::PrintHeader("fast path vs reference path (full ask path)");
   std::printf("questions: %zu\n", stream.size());
-  std::printf("seed Type-rank executor : %8.1f q/s\n",
-              stream.size() / seed_secs);
-  std::printf("cost-aware planner      : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / planned_secs, seed_secs / planned_secs);
-  std::printf("partitioned (128/shard) : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / partitioned_secs,
-              seed_secs / partitioned_secs);
-  std::printf("legacy string substrate : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / legacy_secs, seed_secs / legacy_secs);
-  std::printf("scalar (no vec kernels) : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / scalar_secs, seed_secs / scalar_secs);
-  std::printf("full-sort rank (no topk): %8.1f q/s   speedup %.2fx\n",
-              stream.size() / fullsort_secs, seed_secs / fullsort_secs);
-  std::printf("reloaded snapshot       : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / snapshot_secs, seed_secs / snapshot_secs);
-  std::printf(
-      "canonical answer mismatches: planner=%zu partitioned=%zu "
-      "substrate=%zu vector=%zu topk=%zu snapshot=%zu\n",
-      mismatches, partitioned_mismatches, substrate_mismatches,
-      vector_mismatches, topk_mismatches, snapshot_mismatches);
+  std::printf("reference path          : %8.1f q/s\n",
+              stream.size() / reference_secs);
+  std::printf("fast path               : %8.1f q/s   speedup %.2fx\n",
+              stream.size() / fast_secs, reference_secs / fast_secs);
+  std::printf("reloaded snapshot (fast): %8.1f q/s   speedup %.2fx\n",
+              stream.size() / snapshot_secs, reference_secs / snapshot_secs);
+  std::printf("canonical answer mismatches: fast=%zu snapshot=%zu\n",
+              mismatches, snapshot_mismatches);
 
   // ---- the paper figure ----------------------------------------------
   auto result = eval::RunEfficiency(*world, questions, 661);
@@ -191,33 +134,21 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json("fig6_efficiency");
   json.Add("questions", stream.size());
-  json.Add("seed_qps", stream.size() / seed_secs);
-  json.Add("planner_qps", stream.size() / planned_secs);
-  json.Add("partitioned_qps", stream.size() / partitioned_secs);
-  json.Add("legacy_substrate_qps", stream.size() / legacy_secs);
-  json.Add("scalar_kernels_qps", stream.size() / scalar_secs);
-  json.Add("fullsort_rank_qps", stream.size() / fullsort_secs);
+  json.Add("reference_qps", stream.size() / reference_secs);
+  json.Add("fast_qps", stream.size() / fast_secs);
   json.Add("snapshot_qps", stream.size() / snapshot_secs);
-  json.Add("planner_mismatches", mismatches);
-  json.Add("partitioned_mismatches", partitioned_mismatches);
-  json.Add("substrate_mismatches", substrate_mismatches);
-  json.Add("vector_mismatches", vector_mismatches);
-  json.Add("topk_mismatches", topk_mismatches);
+  json.Add("fast_mismatches", mismatches);
   json.Add("snapshot_mismatches", snapshot_mismatches);
   for (const auto& [name, ms] : result.avg_ms) {
     json.Add("avg_ms_" + name, ms);
   }
   json.Write();
 
-  if (mismatches + partitioned_mismatches + substrate_mismatches +
-          vector_mismatches + topk_mismatches + snapshot_mismatches >
-      0) {
+  if (mismatches + snapshot_mismatches > 0) {
     std::printf(
-        "FAIL: answers differ from the seed executor (planner=%zu, "
-        "partitioned=%zu, substrate=%zu, vector=%zu, topk=%zu, "
+        "FAIL: answers differ from the reference path (fast=%zu, "
         "snapshot=%zu)\n",
-        mismatches, partitioned_mismatches, substrate_mismatches,
-        vector_mismatches, topk_mismatches, snapshot_mismatches);
+        mismatches, snapshot_mismatches);
     return 1;
   }
   return 0;

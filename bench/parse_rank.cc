@@ -1,15 +1,19 @@
 // Parse/rank-side microbench for the interned-term substrate: per-stage
 // timings (classify/tag/conditions/rank, ...) and cold-parse throughput of
-// the full ask path with the substrate ON vs the legacy string paths, the
-// §4.1.3 trie footprint comparison (flat node arrays vs pointer tree), and
-// regression assertions pinning that WS/TI MostSimilar stays an O(degree)
-// row scan instead of the seed's O(total pairs) full-map scan.
+// the full ask path on the fast path vs the reference path
+// (EngineOptions::reference), the §4.1.3 trie footprint comparison (flat
+// node arrays vs pointer tree), and regression assertions pinning that
+// WS/TI MostSimilar stays an O(degree) row scan instead of the seed's
+// O(total pairs) full-map scan.
 //
 // Cold-parse means every question runs the whole parse pipeline — no
 // prepared-query cache — which is exactly where per-call stemming and
-// string-keyed similarity lookups used to burn time.
+// string-keyed lookups used to burn time. The cold-parse floor compares the
+// `tag` stage alone (FlatTrie vs pointer trie): the reference path also
+// differs in plan, execute and rank, and those gains must not hide a trie
+// regression.
 //
-// Exits non-zero when the MostSimilar row-scan regression guard trips.
+// Exits non-zero when a floor or the MostSimilar regression guard trips.
 // Emits BENCH_parse_rank.json for the CI perf-artifact trajectory.
 //
 // Usage: parse_rank [--quick]
@@ -89,15 +93,15 @@ int main(int argc, char** argv) {
     for (const auto& q : qs) stream.emplace_back(domain, q.text);
   }
 
-  // ---- cold-parse throughput + per-stage timings, substrate on vs off ---
-  std::map<std::string, double> stage_micros;  // substrate-on run only
-  auto ask_all = [&](bool collect_stages) {
+  // ---- cold-parse throughput + per-stage timings, fast vs reference ----
+  using StageMicros = std::map<std::string, double>;
+  auto ask_all = [&](StageMicros* stage_micros) {
     auto start = Clock::now();
     for (const auto& [domain, text] : stream) {
       auto r = world->engine().AskInDomain(domain, text);
-      if (collect_stages && r.ok()) {
+      if (r.ok()) {
         for (const auto& t : r.value().timings) {
-          stage_micros[t.stage] += t.micros;
+          (*stage_micros)[t.stage] += t.micros;
         }
       }
     }
@@ -109,26 +113,32 @@ int main(int argc, char** argv) {
     (void)world->engine().AskInDomain(domain, text);
   }
 
-  core::EngineOptions substrate_options;  // default: use_term_substrate on
-  core::EngineOptions legacy_options;
-  legacy_options.use_term_substrate = false;
+  core::EngineOptions fast_options;  // defaults: the fast path
+  core::EngineOptions reference_options;
+  reference_options.reference = true;
 
-  world->mutable_engine().SetOptions(legacy_options);
-  const double legacy_secs = ask_all(false);
+  StageMicros reference_stages, stage_micros;
+  world->mutable_engine().SetOptions(reference_options);
+  const double reference_secs = ask_all(&reference_stages);
 
-  world->mutable_engine().SetOptions(substrate_options);
-  const double substrate_secs = ask_all(true);
+  world->mutable_engine().SetOptions(fast_options);
+  const double fast_secs = ask_all(&stage_micros);
 
-  const double legacy_qps = stream.size() / legacy_secs;
-  const double substrate_qps = stream.size() / substrate_secs;
+  const double reference_qps = stream.size() / reference_secs;
+  const double fast_qps = stream.size() / fast_secs;
+  const double tag_speedup = reference_stages["tag"] / stage_micros["tag"];
 
   bench::PrintHeader("cold-parse ask throughput (no prepared cache)");
   std::printf("questions: %zu\n", stream.size());
-  std::printf("legacy string paths     : %8.1f q/s\n", legacy_qps);
-  std::printf("interned term substrate : %8.1f q/s   speedup %.2fx\n",
-              substrate_qps, legacy_secs / substrate_secs);
+  std::printf("reference path          : %8.1f q/s\n", reference_qps);
+  std::printf("fast path               : %8.1f q/s   speedup %.2fx\n",
+              fast_qps, reference_secs / fast_secs);
+  std::printf("tag stage (FlatTrie vs pointer trie): %.2f vs %.2f us/query, "
+              "speedup %.2fx\n",
+              stage_micros["tag"] / stream.size(),
+              reference_stages["tag"] / stream.size(), tag_speedup);
 
-  bench::PrintHeader("per-stage time (substrate run)");
+  bench::PrintHeader("per-stage time (fast run)");
   bench::PrintRule();
   for (const auto& [stage, micros] : stage_micros) {
     std::printf("%-12s %12.2f us/query  %10.1f ms total\n", stage.c_str(),
@@ -282,9 +292,10 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json("parse_rank");
   json.Add("questions", stream.size());
-  json.Add("legacy_qps", legacy_qps);
-  json.Add("substrate_qps", substrate_qps);
-  json.Add("substrate_speedup", legacy_secs / substrate_secs);
+  json.Add("reference_qps", reference_qps);
+  json.Add("fast_qps", fast_qps);
+  json.Add("fast_speedup", reference_secs / fast_secs);
+  json.Add("tag_speedup", tag_speedup);
   for (const auto& [stage, micros] : stage_micros) {
     json.Add("stage_us_" + stage, micros / stream.size());
   }
@@ -305,16 +316,16 @@ int main(int argc, char** argv) {
   // noise: the seed scan touches every stored pair per call while the CSR
   // path touches one row, so a genuine regression collapses the gap to ~1x.
   bool failed = false;
-  // Cold-parse floor: the substrate's measured speedup is ~1.3-1.5x on the
-  // survey stream; a drop below 1.1x means the id paths stopped paying for
-  // themselves (e.g. per-candidate stemming crept back into SimScorer).
-  // The floor sits well under the recorded speedup so CI timer noise on a
+  // Cold-parse floor on the tag stage: a drop below 1.1x means the
+  // FlatTrie tagger stopped paying for itself over the pointer trie. The
+  // floor sits well under the recorded speedup so CI timer noise on a
   // loaded runner cannot trip it, while a genuine regression to ~1.0x does.
-  if (legacy_secs / substrate_secs < 1.1) {
+  if (tag_speedup < 1.1) {
     std::printf(
-        "FAIL: term-substrate cold-parse speedup %.2fx below the 1.1x "
-        "regression floor (legacy %.0f q/s, substrate %.0f q/s)\n",
-        legacy_secs / substrate_secs, legacy_qps, substrate_qps);
+        "FAIL: FlatTrie tag-stage speedup %.2fx below the 1.1x regression "
+        "floor (fast %.2f us/query, reference %.2f us/query)\n",
+        tag_speedup, stage_micros["tag"] / stream.size(),
+        reference_stages["tag"] / stream.size());
     failed = true;
   }
   // Cold-rank floor: ScoreBlock's code-tuple memo collapses a 500-row sweep

@@ -10,7 +10,7 @@
 //                the pre-deadline engine is preserved.
 //   CancelToken  one shared atomic flag per request. The first checker that
 //                observes an expired deadline raises it; every other thread
-//                cooperating on the request (partition morsels on the
+//                cooperating on the request (rank morsels on the
 //                work-stealing scheduler) sees the flag with one relaxed
 //                load instead of each paying a clock read.
 //   ExecControl  the (deadline, token) pair threaded through the execution
@@ -18,7 +18,7 @@
 //                Null/default means "run to completion" everywhere.
 //
 // Checking discipline: long loops call ExecControl::Expired() at natural
-// batch boundaries (per partition morsel, per N-1 relaxation pass, per
+// batch boundaries (per rank morsel, per N-1 relaxation pass, per
 // stage) — often enough that a worker is reclaimed within one morsel's
 // work, rarely enough that the clock never shows up in profiles.
 #ifndef CQADS_COMMON_DEADLINE_H_

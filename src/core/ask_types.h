@@ -18,13 +18,10 @@
 #include "db/query.h"
 
 // ParsedQuestion only carries shared_ptrs to compiled plans; the plan
-// vocabulary (db/exec/plan.h, db/exec/parallel_plan.h) stays out of this
-// widely-included header.
+// vocabulary (db/exec/plan.h) stays out of this widely-included header.
 namespace cqads::db::exec {
 class PhysicalPlan;
 using PlanPtr = std::shared_ptr<const PhysicalPlan>;
-class PartitionedPlan;
-using PartitionedPlanPtr = std::shared_ptr<const PartitionedPlan>;
 class TaskRunner;
 }  // namespace cqads::db::exec
 
@@ -38,49 +35,24 @@ struct EngineOptions {
   /// than this.
   std::size_t partial_trigger = 30;
   bool enable_partial = true;
-  /// Execute through compiled cost-aware plans over the column store
-  /// (db/exec). When false, the seed row-at-a-time Executor with the §4.3
-  /// Type-rank order runs instead — answers are identical either way (the
-  /// parity benches and property tests assert it); only the work differs.
-  bool use_planner = true;
   /// Record the plan dump (PhysicalPlan::Explain) in AskResult::explain.
   /// Off by default: the hot path should not build strings nobody reads.
   bool explain_plans = false;
-  /// Parse/rank on the interned-term substrate: the tagger walks the frozen
-  /// FlatTrie and Eq. 5 partial scoring runs id-to-id through a per-request
-  /// SimScorer (no per-candidate stemming or string-pair keys). When false,
-  /// the seed string paths run instead — answers are byte-identical either
-  /// way (the fig6 substrate parity gate and the differential tests pin
-  /// it); only the work differs.
-  bool use_term_substrate = true;
-  /// Execute plans block-at-a-time through the branch-free selection-mask
-  /// kernels (db/exec/vector_kernels.h) and score rank candidates in
-  /// batches (SimScorer::ScoreBlock). When false, the scalar row-at-a-time
-  /// loops run instead — answers are byte-identical either way (the fig6
-  /// vector parity gate and the differential tests pin it); only the work
-  /// differs.
-  bool use_vector_kernels = true;
-  /// Rank partial answers through the bounded top-k path: a size-answer_cap
-  /// accumulator with block-max score pruning (per-1024-row-block upper
-  /// bounds from RankBounds) and morsel-parallel sweeps on exec_runner,
-  /// replacing collect-all + full sort. Requires use_term_substrate (the
-  /// id-keyed SimScorer); with the substrate off the serial full-sort path
-  /// runs regardless. When false, the serial path runs — answers are
-  /// byte-identical either way (the fig6 top-k parity gate and
-  /// tests/test_topk_rank.cc pin it); only the work differs.
-  bool use_topk_rank = true;
-  /// Horizontal partitioning: rows per ColumnStore partition. Each domain's
-  /// store is sharded into fixed-size row partitions (own dictionaries,
-  /// postings, null bitmaps, per-partition stats) and compiled plans run
-  /// per-partition, merged answer-identically. 0 = one monolithic store
-  /// (the seed layout). Requires use_planner.
-  std::size_t partition_rows = 0;
-  /// Threads one query's plan may fan partition morsels across (the calling
-  /// thread included). <= 1 = serial partition execution.
+  /// Answer through the seed reference path that defines the semantics:
+  /// the §4.3 Type-rank Executor, the pointer-trie tagger, the string-keyed
+  /// Eq. 5 ScorePartialMatch, and a serial full sort of the partials. The
+  /// default (false) is the fast path: compiled block-at-a-time plans over
+  /// the column store, the FlatTrie tagger, the id-keyed SimScorer, and the
+  /// pruned top-k. Answers are byte-identical either way (the fig6 parity
+  /// gate and the fast-vs-reference differential tests pin it); only the
+  /// work differs.
+  bool reference = false;
+  /// Threads one request's top-k rank sweep may fan morsels across (the
+  /// calling thread included). <= 1 = serial sweeps.
   std::size_t exec_parallelism = 1;
-  /// Where partition morsels run (e.g. a serve::WorkerPool). Non-owning:
-  /// must outlive the engine. nullptr = morsels run inline on the caller,
-  /// which is also the graceful degradation when the pool is saturated.
+  /// Where rank morsels run (e.g. a serve::WorkerPool). Non-owning: must
+  /// outlive the engine. nullptr = morsels run inline on the caller, which
+  /// is also the graceful degradation when the pool is saturated.
   db::exec::TaskRunner* exec_runner = nullptr;
 };
 
@@ -95,7 +67,7 @@ struct ParsedQuestion {
   AssembledQuery assembled;
   db::Query query;      ///< executable form
   std::string sql;      ///< §4.5 nested-subquery SQL text
-  /// Compiled cost-aware plan for `query` (null when planning is disabled).
+  /// Compiled cost-aware plan for `query` (null on the reference path).
   /// Compiled against one snapshot's table/stats; riding on ParsedQuestion
   /// is what lets the prepared-query cache memoize plans per snapshot
   /// version for free.
@@ -105,11 +77,6 @@ struct ParsedQuestion {
   /// superlative) so cache hits skip per-request recompilation. Empty
   /// otherwise.
   std::vector<db::exec::PlanPtr> relaxed_plans;
-  /// Partition-parallel forms of `plan` / `relaxed_plans`, compiled instead
-  /// of the monolithic forms when the domain's store is partitioned
-  /// (EngineOptions::partition_rows > 0). Null/empty otherwise.
-  db::exec::PartitionedPlanPtr part_plan;
-  std::vector<db::exec::PartitionedPlanPtr> relaxed_part_plans;
 };
 
 /// One retrieved answer.

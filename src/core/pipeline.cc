@@ -8,7 +8,6 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <optional>
 
 #include "common/failpoint.h"
 #include "db/exec/delta_exec.h"
@@ -58,77 +57,41 @@ bool IsRelaxable(const ParsedQuestion& parsed) {
          !parsed.assembled.contradiction;
 }
 
-/// The partitioned execution path applies iff the runtime is sharded (the
-/// prepared cache keys on the snapshot version, so cached plans always
-/// match the runtime's layout).
-bool UsePartitions(const DomainRuntime& rt) {
-  return rt.partitions != nullptr && rt.parallel_planner != nullptr;
-}
-
-/// Executes `query` over the runtime through the fastest applicable path:
-/// the given precompiled plans when present (compiling is the caller's
-/// defensive fallback), the delta-union path when a live delta rides on the
-/// table, the seed executor when planning is off.
+/// Executes `query` over the runtime: on the fast path through the given
+/// precompiled plan (compiling is the caller's defensive fallback), on the
+/// reference path through the seed Type-rank executor; either way unioning
+/// a live delta when one rides on the table.
 Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
                                  const DomainRuntime& rt,
                                  const db::Query& query,
-                                 const db::exec::PartitionedPlan* part_plan,
                                  const db::exec::PhysicalPlan* plan,
                                  std::string* explain_out,
                                  const ExecControl* control) {
-  const EngineOptions& options = s.options();
   db::exec::BaseRowSource src;
-  src.runner = options.exec_runner;
-  src.parallelism = options.exec_parallelism;
   src.control = control;
-  src.vectorize = options.use_vector_kernels;
-  // Morsel-sizing rule: tiny stores execute their shards inline — the
-  // enqueue + completion-latch cost of fanning out exceeds the scan.
-  if (rt.table->num_rows() < db::exec::kMinRowsForParallelExec) {
-    src.runner = nullptr;
-  }
-  // Keep defensively-compiled plans alive through execution.
-  db::exec::PartitionedPlanPtr compiled_part;
-  db::exec::PlanPtr compiled_mono;
-  if (options.use_planner) {
-    if (UsePartitions(rt)) {
-      if (part_plan == nullptr) {
-        auto compiled = rt.parallel_planner->Compile(query);
-        if (!compiled.ok()) return compiled.status();
-        compiled_part = std::move(compiled).value();
-        part_plan = compiled_part.get();
-      }
-      src.part_plan = part_plan;
-    } else {
-      if (plan == nullptr) {
-        auto compiled = rt.planner->Compile(query);
-        if (!compiled.ok()) return compiled.status();
-        compiled_mono = std::move(compiled).value();
-        plan = compiled_mono.get();
-      }
-      src.plan = plan;
+  db::exec::PlanPtr compiled;  // keeps a defensively-compiled plan alive
+  if (!s.options().reference) {
+    if (plan == nullptr) {
+      auto c = rt.planner->Compile(query);
+      if (!c.ok()) return c.status();
+      compiled = std::move(c).value();
+      plan = compiled.get();
     }
-    if (explain_out != nullptr) {
-      *explain_out = src.part_plan != nullptr ? src.part_plan->Explain()
-                                              : src.plan->Explain();
-    }
+    src.plan = plan;
+    if (explain_out != nullptr) *explain_out = plan->Explain();
   }
 
   const db::DeltaStore* delta = rt.live_delta();
   if (delta != nullptr) {
     return db::exec::ExecuteHybrid(*rt.table, *delta, query, src);
   }
-  if (src.part_plan != nullptr) {
-    return src.part_plan->Execute(src.runner, src.parallelism, control,
-                                  src.vectorize);
-  }
-  if (src.plan != nullptr) return src.plan->Execute(src.vectorize);
+  if (src.plan != nullptr) return src.plan->Execute();
   return db::ExecuteQuery(*rt.table, query);
 }
 
 // ---------------------------------------------------------------------------
-// Top-k rank machinery (EngineOptions::use_topk_rank). The serial
-// collect-all + sort path below stays frozen as the differential oracle.
+// Top-k rank machinery (the fast path). The reference path's serial
+// collect-all + sort in RankStage is the differential oracle.
 // ---------------------------------------------------------------------------
 
 /// Below this many rows to score, computing per-block bounds (a per-code
@@ -323,7 +286,7 @@ Status TagStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (!rt.ok()) return rt.status();
   if (ctx->parsed_from_cache()) return Status::OK();
   ctx->parsed.tags = rt.value()->tagger->TagTokens(
-      ctx->tokens(), s.options().use_term_substrate);
+      ctx->tokens(), /*use_flat=*/!s.options().reference);
   return Status::OK();
 }
 
@@ -369,7 +332,7 @@ Status RenderSqlStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
 
 Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (ctx->parsed_from_cache()) return Status::OK();  // plan memoized
-  if (!s.options().use_planner) return Status::OK();
+  if (s.options().reference) return Status::OK();
   // A rule-1c contradiction never executes: don't compile (or cache) a
   // plan that cannot run.
   if (ctx->parsed.assembled.contradiction) return Status::OK();
@@ -377,20 +340,11 @@ Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (!rt_result.ok()) return rt_result.status();
   const DomainRuntime& rt = *rt_result.value();
 
-  // Sharded runtimes compile the partition-parallel plan form; monolithic
-  // runtimes the single-store form. Either way the compiled artifacts ride
-  // on ParsedQuestion, so the prepared cache memoizes them per snapshot
-  // version.
-  const bool partitioned = UsePartitions(rt);
-  if (partitioned) {
-    auto plan = rt.parallel_planner->Compile(ctx->parsed.query);
-    if (!plan.ok()) return plan.status();
-    ctx->parsed.part_plan = std::move(plan).value();
-  } else {
-    auto plan = rt.planner->Compile(ctx->parsed.query);
-    if (!plan.ok()) return plan.status();
-    ctx->parsed.plan = std::move(plan).value();
-  }
+  // The compiled artifacts ride on ParsedQuestion, so the prepared cache
+  // memoizes them per snapshot version.
+  auto plan = rt.planner->Compile(ctx->parsed.query);
+  if (!plan.ok()) return plan.status();
+  ctx->parsed.plan = std::move(plan).value();
 
   // Precompile the N-1 relaxations too, so a prepared-cache hit replays
   // partial retrieval without any per-request compilation. Eager by
@@ -402,17 +356,10 @@ Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (s.options().enable_partial && IsRelaxable(ctx->parsed)) {
     const std::size_t n_units = ctx->parsed.assembled.units.size();
     for (std::size_t dropped = 0; dropped < n_units; ++dropped) {
-      db::Query relaxed_query =
-          MakeRelaxedQuery(ctx->parsed, dropped, rt.table->num_rows());
-      if (partitioned) {
-        auto relaxed = rt.parallel_planner->Compile(relaxed_query);
-        if (!relaxed.ok()) return relaxed.status();
-        ctx->parsed.relaxed_part_plans.push_back(std::move(relaxed).value());
-      } else {
-        auto relaxed = rt.planner->Compile(relaxed_query);
-        if (!relaxed.ok()) return relaxed.status();
-        ctx->parsed.relaxed_plans.push_back(std::move(relaxed).value());
-      }
+      auto relaxed = rt.planner->Compile(
+          MakeRelaxedQuery(ctx->parsed, dropped, rt.table->num_rows()));
+      if (!relaxed.ok()) return relaxed.status();
+      ctx->parsed.relaxed_plans.push_back(std::move(relaxed).value());
     }
   }
   return Status::OK();
@@ -432,16 +379,15 @@ Status ExecuteStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     return Status::OK();
   }
 
-  // Compiled (possibly partition-parallel) plan when planning is on, the
-  // seed Type-rank executor otherwise; both union a live ingest delta when
-  // one rides on the table. RunQuery recompiles defensively for
-  // externally-built ParsedQuestions injected through the prepared cache's
-  // public Put() without plans. The request's cancellation context rides
-  // along so partition morsels and delta scans stop mid-flight when the
-  // deadline passes.
+  // The compiled plan on the fast path, the seed Type-rank executor on the
+  // reference path; both union a live ingest delta when one rides on the
+  // table. RunQuery recompiles defensively for externally-built
+  // ParsedQuestions injected through the prepared cache's public Put()
+  // without plans. The request's cancellation context rides along so delta
+  // scans stop mid-flight when the deadline passes.
   const ExecControl control = ctx->control();
   Result<db::QueryResult> exec =
-      RunQuery(s, rt, parsed.query, parsed.part_plan.get(), parsed.plan.get(),
+      RunQuery(s, rt, parsed.query, parsed.plan.get(),
                s.options().explain_plans ? &ctx->result.explain : nullptr,
                &control);
   if (!exec.ok()) return exec.status();
@@ -487,45 +433,24 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   db::exec::RowBitmap already(total_rows);
   for (const auto& a : out.answers) already.Set(a.row);
 
-  // Scoring over the global id space: base rows read the column store,
-  // delta rows their row-major record — identical semantics either way
-  // (core/rank_sim.h record overloads). On the term substrate, a
-  // per-request SimScorer resolves the question side to TermIds once and
-  // memoizes record-side strings, so the per-candidate loop below performs
-  // no stemming and builds no string-pair keys; the legacy free functions
-  // remain the parity oracle.
-  std::optional<SimScorer> scorer;
-  if (options.use_term_substrate) {
-    scorer.emplace(rt.table->schema(), units, sim);
-  }
-  auto score_row = [&](db::RowId row, std::size_t dropped) {
-    if (scorer.has_value()) {
-      if (row < base_rows) return scorer->Score(*rt.table, row, dropped);
-      return scorer->Score(rt.table->schema(),
-                           delta->record(row - base_rows), dropped);
-    }
-    if (row < base_rows) {
-      return ScorePartialMatch(*rt.table, row, units, dropped, sim);
-    }
-    return ScorePartialMatch(rt.table->schema(),
-                             delta->record(row - base_rows), units, dropped,
-                             sim);
-  };
-  // Tombstoned rows never rank (the exact path masks them already; the
-  // similarity sweep below must too).
-  auto is_live = [&](db::RowId row) {
-    if (delta == nullptr) return true;
-    if (row >= base_rows) return !delta->delta_retired(row - base_rows);
-    const auto& retired = delta->retired_base();
-    return !std::binary_search(retired.begin(), retired.end(), row);
-  };
-
   // Graceful degradation: each N-1 relaxation pass (and each chunk of the
   // single-condition sweep) re-checks the deadline. On expiry the stage
   // keeps whatever passes completed — the best-so-far partials still rank
   // and ship below — and marks the result degraded instead of failing a
   // request whose exact answers are already correct.
   const ExecControl control = ctx->control();
+
+  // N-1 relaxation `dropped` — through the plan PlanStage precompiled (and
+  // the cache memoized) when available; RunQuery unions the delta when one
+  // is live.
+  auto run_relaxed = [&](std::size_t dropped) {
+    const db::exec::PhysicalPlan* plan =
+        dropped < parsed.relaxed_plans.size()
+            ? parsed.relaxed_plans[dropped].get()
+            : nullptr;
+    return RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
+                    plan, nullptr, &control);
+  };
 
   // ---- Pruned, morsel-parallel top-k selection ----------------------------
   // Only the first (answer_cap - exact) partials can ship, so ranking is a
@@ -534,9 +459,13 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   // (db/exec/rank_bounds.h + SimScorer::ComputeBlockBounds) let whole 1024-
   // row blocks be skipped once the shared threshold rises above their best
   // possible score; both sweeps fan out on the exec morsel scheduler.
-  // Requires the id-keyed SimScorer; the string-keyed oracle path keeps the
-  // serial shape below.
-  if (options.use_topk_rank && scorer.has_value()) {
+  // Scoring runs over the global id space: base rows read the column store,
+  // delta rows their row-major record — identical semantics either way
+  // (core/rank_sim.h record overloads). A per-request SimScorer resolves the
+  // question side to TermIds once and memoizes record-side strings, so the
+  // sweeps perform no stemming and build no string-pair keys.
+  if (!options.reference) {
+    SimScorer scorer(rt.table->schema(), units, sim);
     // Tombstoned rows join `already`, so the sweeps below skip them with
     // the same bitmap test as the exact answers (the relaxation plans never
     // return them, so dedup is unaffected).
@@ -560,7 +489,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       par = 1;
     }
     RankSlots slots(std::min<std::size_t>(par, 64), rt.table->schema(), units,
-                    sim, &*scorer, k);
+                    sim, &scorer, k);
     std::atomic<double> shared_threshold{slots.slot(0).topk.threshold()};
     const double exact_part = static_cast<double>(units.size()) - 1.0;
     std::vector<double> ub;  // per-block unit-similarity upper bounds
@@ -572,16 +501,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       if (n == 0) return;
       sl.rank.resize(n);
       sl.unit.resize(n);
-      if (options.use_vector_kernels) {
-        sl.scorer->ScoreBlock(*rt.table, sl.rows.data(), n, dropped,
-                              sl.rank.data(), sl.unit.data());
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          PartialScore p = sl.scorer->Score(*rt.table, sl.rows[i], dropped);
-          sl.rank[i] = p.rank_sim;
-          sl.unit[i] = p.unit_sim;
-        }
-      }
+      sl.scorer->ScoreBlock(*rt.table, sl.rows.data(), n, dropped,
+                            sl.rank.data(), sl.unit.data());
       // Pre-selection: a candidate strictly below the shared threshold is
       // outside the global top-k, one below the slot's own threshold cannot
       // enter it, and one below the batch's own k-th best score has k better
@@ -619,8 +540,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     // the request scorer).
     auto push_delta_row = [&](db::RowId row, std::size_t dropped,
                               bool require_positive) {
-      PartialScore p = scorer->Score(rt.table->schema(),
-                                     delta->record(row - base_rows), dropped);
+      PartialScore p = scorer.Score(rt.table->schema(),
+                                    delta->record(row - base_rows), dropped);
       if (require_positive && p.unit_sim <= 0.0) return;
       RankSlots::Slot& sl = slots.slot(0);
       if (sl.topk.Push(p.rank_sim, row, static_cast<std::uint32_t>(dropped)) &&
@@ -640,17 +561,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           degraded = true;
           break;
         }
-        const db::exec::PartitionedPlan* part_plan =
-            dropped < parsed.relaxed_part_plans.size()
-                ? parsed.relaxed_part_plans[dropped].get()
-                : nullptr;
-        const db::exec::PhysicalPlan* plan =
-            dropped < parsed.relaxed_plans.size()
-                ? parsed.relaxed_plans[dropped].get()
-                : nullptr;
-        auto rel =
-            RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
-                     part_plan, plan, nullptr, &control);
+        auto rel = run_relaxed(dropped);
         if (!rel.ok()) {
           if (rel.status().code() == StatusCode::kDeadlineExceeded) {
             degraded = true;
@@ -668,7 +579,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         }
         const bool prunable =
             rb != nullptr && cand_base.size() >= kMinRankRowsForBounds &&
-            scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
+            scorer.ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
         constexpr std::size_t kChunkRows = 2048;
         const std::size_t n_chunks =
             (cand_base.size() + kChunkRows - 1) / kChunkRows;
@@ -723,7 +634,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       // produce a positive similarity is skipped without gathering a row.
       const bool prunable = rb != nullptr &&
                             base_rows >= kMinRankRowsForBounds &&
-                            scorer->ComputeBlockBounds(*rt.table, *rb, 0, &ub);
+                            scorer.ComputeBlockBounds(*rt.table, *rb, 0, &ub);
       const std::size_t nb =
           (base_rows + db::exec::kRankBlockRows - 1) /
           db::exec::kRankBlockRows;
@@ -817,7 +728,7 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     }
     for (const auto& e : merged.Take()) {
       out.answers.push_back(
-          Answer{e.row, false, e.score, scorer->unit_measure(e.tag)});
+          Answer{e.row, false, e.score, scorer.unit_measure(e.tag)});
     }
     if (degraded) out.degraded = true;
     if (!out.explain.empty()) {
@@ -832,48 +743,32 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     return Status::OK();
   }
 
-  std::vector<Answer> partials;
-  // Batched Eq. 5 (SimScorer::ScoreBlock) for base-table candidates: the
-  // RowRef adapter, code-tuple memo, and measure string are hoisted out of
-  // the per-row loop. Reordering pushes into `partials` is safe — the final
-  // sort's (rank_sim, row) key is a total order over the unique rows. Delta
-  // rows are row-major and keep the per-row path.
-  const bool batch_scoring =
-      scorer.has_value() && options.use_vector_kernels;
-  std::vector<db::RowId> batch;
-  std::vector<double> batch_rank, batch_unit;
-  auto flush_batch = [&](std::size_t dropped, bool require_positive) {
-    if (batch.empty()) return;
-    batch_rank.resize(batch.size());
-    batch_unit.resize(batch.size());
-    scorer->ScoreBlock(*rt.table, batch.data(), batch.size(), dropped,
-                       batch_rank.data(), batch_unit.data());
-    const std::string& measure = scorer->unit_measure(dropped);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (require_positive && batch_unit[i] <= 0.0) continue;
-      partials.push_back(Answer{batch[i], false, batch_rank[i], measure});
+  // ---- Reference: collect every partial, string-keyed Eq. 5, full sort --
+  auto score_row = [&](db::RowId row, std::size_t dropped) {
+    if (row < base_rows) {
+      return ScorePartialMatch(*rt.table, row, units, dropped, sim);
     }
-    batch.clear();
+    return ScorePartialMatch(rt.table->schema(),
+                             delta->record(row - base_rows), units, dropped,
+                             sim);
   };
+  // Tombstoned rows never rank (the exact path masks them already; the
+  // similarity sweep below must too).
+  auto is_live = [&](db::RowId row) {
+    if (delta == nullptr) return true;
+    if (row >= base_rows) return !delta->delta_retired(row - base_rows);
+    const auto& retired = delta->retired_base();
+    return !std::binary_search(retired.begin(), retired.end(), row);
+  };
+  std::vector<Answer> partials;
   if (units.size() >= 2) {
-    // N-1: drop each unit in turn and evaluate the remaining conditions —
-    // through the relaxation plans PlanStage precompiled (and the cache
-    // memoized) when available; RunQuery unions the delta when one is live.
+    // N-1: drop each unit in turn and evaluate the remaining conditions.
     for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
       if (control.Expired()) {
         out.degraded = true;
         break;
       }
-      const db::exec::PartitionedPlan* part_plan =
-          dropped < parsed.relaxed_part_plans.size()
-              ? parsed.relaxed_part_plans[dropped].get()
-              : nullptr;
-      const db::exec::PhysicalPlan* plan =
-          dropped < parsed.relaxed_plans.size()
-              ? parsed.relaxed_plans[dropped].get()
-              : nullptr;
-      auto rel = RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
-                          part_plan, plan, nullptr, &control);
+      auto rel = run_relaxed(dropped);
       if (!rel.ok()) {
         if (rel.status().code() == StatusCode::kDeadlineExceeded) {
           out.degraded = true;
@@ -885,40 +780,24 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       for (db::RowId row : rel.value().rows) {
         if (already.Test(row)) continue;
         already.Set(row);
-        if (batch_scoring && row < base_rows) {
-          batch.push_back(row);
-          continue;
-        }
         PartialScore score = score_row(row, dropped);
         partials.push_back(Answer{row, false, score.rank_sim, score.measure});
       }
-      flush_batch(dropped, /*require_positive=*/false);
     }
   } else {
     // Single-condition questions: similarity-match every record against the
     // lone condition (§4.3.1 last paragraph).
     constexpr db::RowId kCancelCheckRows = 512;
-    constexpr std::size_t kScoreBatchRows = 1024;
     for (db::RowId row = 0; row < total_rows; ++row) {
       if (row % kCancelCheckRows == 0 && control.Expired()) {
         out.degraded = true;
         break;
       }
       if (already.Test(row) || !is_live(row)) continue;
-      if (batch_scoring && row < base_rows) {
-        batch.push_back(row);
-        if (batch.size() >= kScoreBatchRows) {
-          flush_batch(0, /*require_positive=*/true);
-        }
-        continue;
-      }
       PartialScore score = score_row(row, 0);
       if (score.unit_sim <= 0.0) continue;
       partials.push_back(Answer{row, false, score.rank_sim, score.measure});
     }
-    // Rows gathered before a deadline break were already visited: score
-    // them (the scalar path would have, too, before reaching the break).
-    flush_batch(0, /*require_positive=*/true);
   }
 
   std::sort(partials.begin(), partials.end(),

@@ -70,7 +70,7 @@ struct QueryContext {
   Deadline deadline;
 
   /// Request-scoped cancellation flag shared by every thread cooperating
-  /// on this request (partition morsel helpers). Raised by the first
+  /// on this request (rank morsel helpers). Raised by the first
   /// deadline observer; never reset.
   CancelToken cancel;
 
@@ -172,7 +172,7 @@ class RenderSqlStage : public PipelineStage {
 /// (db/exec/planner.h) over the domain's column store. Part of the
 /// parse-side pipeline, so the prepared-query cache memoizes compiled plans
 /// per snapshot version along with the rest of the ParsedQuestion. No-op
-/// when EngineOptions::use_planner is off.
+/// on the reference path (EngineOptions::reference).
 class PlanStage : public PipelineStage {
  public:
   const char* name() const override { return "plan"; }
@@ -180,7 +180,7 @@ class PlanStage : public PipelineStage {
 };
 
 /// §4.3/§4.5 exact evaluation — through the compiled plan (or the seed
-/// Type-rank executor when planning is off); short-circuits on a
+/// Type-rank executor on the reference path); short-circuits on a
 /// contradiction.
 class ExecuteStage : public PipelineStage {
  public:

@@ -4,9 +4,9 @@
 // condition builder consumes.
 //
 // The tagger runs over either trie representation: the frozen FlatTrie
-// (serve-time default, EngineOptions::use_term_substrate) or the seed's
-// pointer KeywordTrie (the legacy path the parity gates compare against).
-// Both produce byte-identical TaggingResults.
+// (the fast path) or the seed's pointer KeywordTrie (the reference path,
+// EngineOptions::reference, that the parity gates compare against). Both
+// produce byte-identical TaggingResults.
 #ifndef CQADS_CORE_QUESTION_TAGGER_H_
 #define CQADS_CORE_QUESTION_TAGGER_H_
 

@@ -116,8 +116,8 @@ class SimScorer {
   ///     table indexed by code (plus one kNullCode slot), two attributes
   ///     (composite identities) into a code-pair map.
   /// A scorer's code memo belongs to one table: score one table per
-  /// instance. RankStage's full-table and relaxation sweeps use this under
-  /// EngineOptions::use_vector_kernels.
+  /// instance. RankStage's top-k full-table and relaxation sweeps score
+  /// every base-table candidate through this.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);

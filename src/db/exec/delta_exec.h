@@ -1,6 +1,6 @@
 // Delta-union query execution: one query answered over a base table (via
-// whichever compiled path is available — partitioned plan, monolithic plan,
-// or the seed Type-rank executor) PLUS a row-major DeltaStore riding on it.
+// the compiled plan on the fast path or the seed Type-rank executor on the
+// reference path) PLUS a row-major DeltaStore riding on it.
 //
 //   base rows   index/plan-driven, then tombstoned base rows masked out
 //   delta rows  row-at-a-time scan with the seed value semantics
@@ -18,9 +18,8 @@
 
 #include <cstddef>
 
+#include "common/deadline.h"
 #include "common/status.h"
-#include "db/exec/morsel.h"
-#include "db/exec/parallel_plan.h"
 #include "db/exec/plan.h"
 #include "db/executor.h"
 #include "db/storage/delta_store.h"
@@ -29,20 +28,13 @@
 namespace cqads::db::exec {
 
 /// How the base table's raw (uncapped, pre-superlative) row set is
-/// produced. Preference order: part_plan, then plan, then the seed
-/// executor. The runner/parallelism only matter for part_plan.
+/// produced: the compiled plan when given, the seed executor otherwise.
+/// Delta rows are row-major and always scan row-at-a-time.
 struct BaseRowSource {
-  const PartitionedPlan* part_plan = nullptr;
   const PhysicalPlan* plan = nullptr;
-  TaskRunner* runner = nullptr;
-  std::size_t parallelism = 1;
-  /// Cooperative cancellation (common/deadline.h): checked per partition
-  /// morsel and per delta-scan chunk. Null = run to completion.
+  /// Cooperative cancellation (common/deadline.h): checked per delta-scan
+  /// chunk. Null = run to completion.
   const ExecControl* control = nullptr;
-  /// Block-at-a-time kernels for the base plan paths
-  /// (EngineOptions::use_vector_kernels); false runs the scalar loops.
-  /// Delta rows are row-major and always scan row-at-a-time.
-  bool vectorize = true;
 };
 
 /// Cell of a global row id: a base-table cell or a delta record's value.

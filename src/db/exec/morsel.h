@@ -1,6 +1,6 @@
-// Morsel-style work-stealing scheduler for partition-parallel plan
-// execution. Work is a range of morsel indices behind one shared atomic
-// dispenser: every participating thread (the CALLER plus up to
+// Morsel-style work-stealing scheduler for the top-k rank sweeps
+// (core/pipeline.cc). Work is a range of morsel indices behind one shared
+// atomic dispenser: every participating thread (the CALLER plus up to
 // `parallelism - 1` helper tasks submitted to a TaskRunner) loops stealing
 // the next unclaimed morsel until the dispenser is exhausted. That caller
 // participation is the deadlock-freedom argument for sharing the serving
@@ -20,6 +20,16 @@
 #include "common/deadline.h"
 
 namespace cqads::db::exec {
+
+/// Below this many rows, callers run their morsels inline (runner =
+/// nullptr): per-request morsel submission (enqueue + completion latch)
+/// costs more than sweeping a few thousand rows. This is the usual
+/// morsel-sizing rule — morsel-driven engines hand out work in units of
+/// tens of thousands of rows for the same reason. Policy lives with the
+/// caller (the rank stage applies it); RunMorsels itself always honors
+/// whatever runner it is given, so tests and benches can force pooled
+/// execution on any size.
+inline constexpr std::size_t kMinRowsForParallelExec = 8192;
 
 /// Anything that can run a task on some other thread, eventually. Submit
 /// must be safe from any thread, including from inside a task.
@@ -44,8 +54,8 @@ class TaskRunner {
 /// never passed to `body` — while already-claimed morsels finish, so the
 /// call still returns only when no body invocation is in flight. Returns
 /// false iff the batch was cut short this way; the caller decides what a
-/// partial batch means (the partitioned executor maps it to
-/// kDeadlineExceeded and discards the partial row sets).
+/// partial batch means (the rank stage keeps its best-so-far partials and
+/// marks the answer degraded).
 bool RunMorsels(std::size_t count, std::size_t parallelism, TaskRunner* runner,
                 const std::function<void(std::size_t)>& body,
                 const ExecControl* control = nullptr);

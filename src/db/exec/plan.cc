@@ -18,7 +18,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// RangeScanNode::ExecuteLazy switches from the sorted-index probe to the
+/// RangeScanNode::Execute switches from the sorted-index probe to the
 /// vectorized packed-column scan at this estimated selectivity: past it the
 /// index path's row-id gather + sort costs more than streaming the column.
 constexpr double kRangeScanDenseThreshold = 1.0 / 16.0;
@@ -176,7 +176,7 @@ IndexScanNode::IndexScanNode(const Table* table, CompiledPredicate cp,
   est_selectivity = cp_.selectivity;
 }
 
-RowSet IndexScanNode::Execute(ExecStats* stats) const {
+LazyRowSet IndexScanNode::Execute(ExecStats* stats) const {
   ++stats->index_lookups;
   const HashIndex* idx = table_->hash_index(cp_.pred.attr);
   RowSet eq;
@@ -184,9 +184,9 @@ RowSet IndexScanNode::Execute(ExecStats* stats) const {
     eq = UnionSets(eq, idx->Lookup(key), table_->num_rows());
   }
   if (cp_.pred.op == CompareOp::kNe) {
-    return DifferenceSets(table_->AllRows(), eq, table_->num_rows());
+    eq = DifferenceSets(table_->AllRows(), eq, table_->num_rows());
   }
-  return eq;
+  return LazyRowSet::FromRows(std::move(eq));
 }
 
 void IndexScanNode::Explain(std::string* out, int depth) const {
@@ -201,10 +201,10 @@ RangeScanNode::RangeScanNode(const Table* table, CompiledPredicate cp)
   est_selectivity = cp_.selectivity;
 }
 
-LazyRowSet RangeScanNode::ExecuteLazy(ExecStats* stats) const {
+LazyRowSet RangeScanNode::Execute(ExecStats* stats) const {
   if (est_selectivity < kRangeScanDenseThreshold ||
       cp_.mode != CompiledPredicate::Mode::kNumeric) {
-    return PlanNode::ExecuteLazy(stats);  // index probe, sparse result
+    return LazyRowSet::FromRows(Probe(stats));  // sparse result
   }
   ++stats->full_scans;
   const std::size_t n = table_->num_rows();
@@ -221,7 +221,7 @@ LazyRowSet RangeScanNode::ExecuteLazy(ExecStats* stats) const {
   return LazyRowSet::FromBitmap(std::move(bm));
 }
 
-RowSet RangeScanNode::Execute(ExecStats* stats) const {
+RowSet RangeScanNode::Probe(ExecStats* stats) const {
   ++stats->index_lookups;
   const SortedIndex* idx = table_->sorted_index(cp_.pred.attr);
   const double t = cp_.lo;
@@ -258,7 +258,7 @@ SubstringScanNode::SubstringScanNode(const Table* table, CompiledPredicate cp)
   est_selectivity = cp_.selectivity;
 }
 
-RowSet SubstringScanNode::Execute(ExecStats* stats) const {
+LazyRowSet SubstringScanNode::Execute(ExecStats* stats) const {
   ++stats->index_lookups;
   const NGramIndex* idx = table_->ngram_index(cp_.pred.attr);
   RowSet candidates = idx->Candidates(cp_.pred.value.AsText());
@@ -281,12 +281,12 @@ RowSet SubstringScanNode::Execute(ExecStats* stats) const {
       }
       if (m != 0) out.push_back(row);
     }
-    return out;
+    return LazyRowSet::FromRows(std::move(out));
   }
   for (RowId row : candidates) {
     if (cp_.Matches(store, row)) out.push_back(row);
   }
-  return out;
+  return LazyRowSet::FromRows(std::move(out));
 }
 
 void SubstringScanNode::Explain(std::string* out, int depth) const {
@@ -301,19 +301,7 @@ FullScanFilterNode::FullScanFilterNode(const Table* table,
   est_selectivity = cp_.selectivity;
 }
 
-RowSet FullScanFilterNode::Execute(ExecStats* stats) const {
-  ++stats->full_scans;
-  const std::size_t n = table_->num_rows();
-  stats->rows_verified += n;
-  RowSet out;
-  const ColumnStore& store = table_->store();
-  for (RowId row = 0; row < n; ++row) {
-    if (cp_.Matches(store, row)) out.push_back(row);
-  }
-  return out;
-}
-
-LazyRowSet FullScanFilterNode::ExecuteLazy(ExecStats* stats) const {
+LazyRowSet FullScanFilterNode::Execute(ExecStats* stats) const {
   ++stats->full_scans;
   const std::size_t n = table_->num_rows();
   stats->rows_verified += n;
@@ -344,31 +332,8 @@ FilterNode::FilterNode(const Table* table, PlanNodePtr child,
   for (const auto& cp : residual_) est_selectivity *= cp.selectivity;
 }
 
-RowSet FilterNode::Execute(ExecStats* stats) const {
-  RowSet rows = child_->Execute(stats);
-  if (rows.empty() || residual_.empty()) return rows;
-  // One pass: each row runs the residual conjunction with early-out, in the
-  // planner's selectivity order — no per-predicate re-scan of the surviving
-  // set (the old shape rebuilt the RowSet once per predicate).
-  const ColumnStore& store = table_->store();
-  stats->rows_verified += rows.size();
-  stats->rows_visited += rows.size();
-  RowSet out;
-  for (RowId row : rows) {
-    bool keep = true;
-    for (const auto& cp : residual_) {
-      if (!cp.Matches(store, row)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.push_back(row);
-  }
-  return out;
-}
-
-LazyRowSet FilterNode::ExecuteLazy(ExecStats* stats) const {
-  LazyRowSet child = child_->ExecuteLazy(stats);
+LazyRowSet FilterNode::Execute(ExecStats* stats) const {
+  LazyRowSet child = child_->Execute(stats);
   if (residual_.empty()) return child;
   const ColumnStore& store = table_->store();
 
@@ -435,24 +400,11 @@ IntersectNode::IntersectNode(const Table* table,
   for (const auto& c : children_) est_selectivity *= c->est_selectivity;
 }
 
-RowSet IntersectNode::Execute(ExecStats* stats) const {
-  RowSet acc;
-  bool first = true;
-  for (const auto& child : children_) {
-    RowSet s = child->Execute(stats);
-    acc = first ? std::move(s)
-                : IntersectSets(acc, s, table_->num_rows());
-    first = false;
-    if (acc.empty()) break;
-  }
-  return acc;
-}
-
-LazyRowSet IntersectNode::ExecuteLazy(ExecStats* stats) const {
+LazyRowSet IntersectNode::Execute(ExecStats* stats) const {
   LazyRowSet acc;
   bool first = true;
   for (const auto& child : children_) {
-    LazyRowSet s = child->ExecuteLazy(stats);
+    LazyRowSet s = child->Execute(stats);
     if (first) {
       acc = std::move(s);
       first = false;
@@ -477,18 +429,10 @@ UnionNode::UnionNode(const Table* table, std::vector<PlanNodePtr> children)
   est_selectivity = std::min(1.0, est_selectivity);
 }
 
-RowSet UnionNode::Execute(ExecStats* stats) const {
-  RowSet acc;
-  for (const auto& child : children_) {
-    acc = UnionSets(acc, child->Execute(stats), table_->num_rows());
-  }
-  return acc;
-}
-
-LazyRowSet UnionNode::ExecuteLazy(ExecStats* stats) const {
+LazyRowSet UnionNode::Execute(ExecStats* stats) const {
   LazyRowSet acc;
   for (const auto& child : children_) {
-    acc.UnionWith(child->ExecuteLazy(stats), table_->num_rows());
+    acc.UnionWith(child->Execute(stats), table_->num_rows());
   }
   return acc;
 }
@@ -504,13 +448,8 @@ NotNode::NotNode(const Table* table, PlanNodePtr child)
   est_selectivity = std::max(0.0, 1.0 - child_->est_selectivity);
 }
 
-RowSet NotNode::Execute(ExecStats* stats) const {
-  return DifferenceSets(table_->AllRows(), child_->Execute(stats),
-                        table_->num_rows());
-}
-
-LazyRowSet NotNode::ExecuteLazy(ExecStats* stats) const {
-  LazyRowSet s = child_->ExecuteLazy(stats);
+LazyRowSet NotNode::Execute(ExecStats* stats) const {
+  LazyRowSet s = child_->Execute(stats);
   s.ComplementWithin(table_->num_rows());
   return s;
 }
@@ -531,19 +470,17 @@ PhysicalPlan::PhysicalPlan(const Table* table, PlanNodePtr root,
       superlative_(superlative),
       limit_(limit) {}
 
-Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats,
-                                           bool vectorize) const {
+Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats) const {
   if (!table_->indexes_built()) {
     return Status::FailedPrecondition("table indexes not built");
   }
   if (root_ == nullptr) return table_->AllRows();
-  if (vectorize) return root_->ExecuteLazy(stats).ToRows();
-  return root_->Execute(stats);
+  return root_->Execute(stats).ToRows();
 }
 
-Result<QueryResult> PhysicalPlan::Execute(bool vectorize) const {
+Result<QueryResult> PhysicalPlan::Execute() const {
   QueryResult result;
-  auto row_result = ExecuteRowSet(&result.stats, vectorize);
+  auto row_result = ExecuteRowSet(&result.stats);
   if (!row_result.ok()) return row_result.status();
   RowSet rows = std::move(row_result).value();
   ApplySuperlativeAndCap(

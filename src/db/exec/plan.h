@@ -73,23 +73,13 @@ class PlanNode {
  public:
   virtual ~PlanNode() = default;
 
-  /// Evaluates to a sorted, duplicate-free RowSet.
-  ///
-  /// This is the scalar REFERENCE path: row-at-a-time predicate loops, kept
-  /// byte-identical forever so the vectorized path below always has an
-  /// oracle to diff against (EngineOptions::use_vector_kernels = false runs
-  /// it end to end).
-  virtual RowSet Execute(ExecStats* stats) const = 0;
-
-  /// Block-at-a-time evaluation: scans run 1024-row selection masks through
-  /// the branch-free kernels (db/exec/vector_kernels.h) and set operations
-  /// stay word-parallel across adjacent nodes via LazyRowSet. Denotes
-  /// exactly the same set as Execute on every node — only the work differs.
-  /// The default forwards to Execute, so index-seeded leaves (sparse
-  /// results, nothing to vectorize) participate unchanged.
-  virtual LazyRowSet ExecuteLazy(ExecStats* stats) const {
-    return LazyRowSet::FromRows(Execute(stats));
-  }
+  /// Evaluates to a sorted, duplicate-free row set, block-at-a-time: scans
+  /// run 1024-row selection masks through the branch-free kernels
+  /// (db/exec/vector_kernels.h) and set operations stay word-parallel across
+  /// adjacent nodes via LazyRowSet. Index-seeded leaves return their
+  /// probes' sparse rows. The seed Executor is the reference every plan is
+  /// diffed against (tests/test_vector_kernels.cc, tests/test_planner.cc).
+  virtual LazyRowSet Execute(ExecStats* stats) const = 0;
 
   /// Appends this node's Explain() line(s): two-space indentation per
   /// depth, children below their parent.
@@ -106,7 +96,7 @@ class IndexScanNode : public PlanNode {
   /// variants present in the index), resolved at compile time.
   IndexScanNode(const Table* table, CompiledPredicate cp,
                 std::vector<std::string> keys);
-  RowSet Execute(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
   const std::vector<std::string>& keys() const { return keys_; }
@@ -120,17 +110,19 @@ class IndexScanNode : public PlanNode {
 class RangeScanNode : public PlanNode {
  public:
   RangeScanNode(const Table* table, CompiledPredicate cp);
-  RowSet Execute(ExecStats* stats) const override;
   /// Non-selective ranges (est. selectivity >= 1/16) run a branch-free
   /// block scan of the packed column into a bitmap instead of the sorted
   /// index probe: past that density the index path's gather-and-sort of
   /// row ids costs more than streaming every double through SIMD compares,
   /// and the bitmap output feeds word-parallel set ops downstream. Selective
   /// ranges keep the index probe (sparse vector).
-  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
+  /// The sorted-index probe (the sparse path).
+  RowSet Probe(ExecStats* stats) const;
+
   const Table* table_;
   CompiledPredicate cp_;
 };
@@ -138,7 +130,7 @@ class RangeScanNode : public PlanNode {
 class SubstringScanNode : public PlanNode {
  public:
   SubstringScanNode(const Table* table, CompiledPredicate cp);
-  RowSet Execute(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -149,9 +141,8 @@ class SubstringScanNode : public PlanNode {
 class FullScanFilterNode : public PlanNode {
  public:
   FullScanFilterNode(const Table* table, CompiledPredicate cp);
-  RowSet Execute(ExecStats* stats) const override;
   /// Block-at-a-time scan into a bitmap via the selection-mask kernels.
-  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -165,13 +156,11 @@ class FilterNode : public PlanNode {
   /// (selectivity) order.
   FilterNode(const Table* table, PlanNodePtr child,
              std::vector<CompiledPredicate> residual);
-  /// Single pass: every residual is applied per row with early-out, not one
-  /// full re-scan of the surviving set per predicate.
-  RowSet Execute(ExecStats* stats) const override;
   /// Dense child: AND each residual's block mask into the child's bitmap,
   /// skipping blocks whose mask is already empty. Sparse child: one scalar
-  /// pass (building per-distinct-cell tables wouldn't amortize).
-  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
+  /// pass with early-out per row (building per-distinct-cell tables
+  /// wouldn't amortize).
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -183,8 +172,7 @@ class FilterNode : public PlanNode {
 class IntersectNode : public PlanNode {
  public:
   IntersectNode(const Table* table, std::vector<PlanNodePtr> children);
-  RowSet Execute(ExecStats* stats) const override;
-  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -195,8 +183,7 @@ class IntersectNode : public PlanNode {
 class UnionNode : public PlanNode {
  public:
   UnionNode(const Table* table, std::vector<PlanNodePtr> children);
-  RowSet Execute(ExecStats* stats) const override;
-  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -207,8 +194,7 @@ class UnionNode : public PlanNode {
 class NotNode : public PlanNode {
  public:
   NotNode(const Table* table, PlanNodePtr child);
-  RowSet Execute(ExecStats* stats) const override;
-  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
+  LazyRowSet Execute(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -225,18 +211,15 @@ class PhysicalPlan {
 
   /// Runs the plan. Superlative ordering and the answer cap are applied
   /// exactly as the seed executor does (§4.3 step 4), so results are
-  /// byte-identical for identical row sets. `vectorize` selects the
-  /// block-at-a-time kernels (EngineOptions::use_vector_kernels); false
-  /// runs the scalar reference loops — same rows either way.
-  Result<QueryResult> Execute(bool vectorize = true) const;
+  /// byte-identical for identical row sets.
+  Result<QueryResult> Execute() const;
 
   /// The constraint tree's raw row set — sorted, duplicate-free, BEFORE the
-  /// superlative sort and the answer cap. The partition-parallel executor
-  /// merges these across shards, and the delta-union path combines one with
-  /// the delta scan, before applying the final §4.3 step-4 semantics
-  /// globally (applying a per-shard cap first would drop rows the global
-  /// superlative should have kept).
-  Result<RowSet> ExecuteRowSet(ExecStats* stats, bool vectorize = true) const;
+  /// superlative sort and the answer cap. The delta-union path combines it
+  /// with the delta scan before applying the final §4.3 step-4 semantics
+  /// over the combined id space (capping the base rows first would drop
+  /// rows the global superlative should have kept).
+  Result<RowSet> ExecuteRowSet(ExecStats* stats) const;
 
   const std::optional<Superlative>& superlative() const { return superlative_; }
   std::size_t limit() const { return limit_; }

@@ -19,13 +19,13 @@
 namespace cqads::db::exec {
 
 /// §4.3 step 4, the SINGLE definition shared by every execution path (seed
-/// executor, monolithic plan, partitioned plan, delta union): stable sort
-/// of an ascending row set by the superlative attribute's cell value —
-/// ties keep row order — then the answer cap. `cell_at(row, attr)` returns
-/// the row's cell as `const Value&`; the caller binds whatever storage the
-/// row ids live in (table, base∪delta, …). Centralizing this is what makes
-/// the answer-identity invariant a property of ONE block of code instead
-/// of four copies that must never drift.
+/// executor, compiled plan, delta union): stable sort of an ascending row
+/// set by the superlative attribute's cell value — ties keep row order —
+/// then the answer cap. `cell_at(row, attr)` returns the row's cell as
+/// `const Value&`; the caller binds whatever storage the row ids live in
+/// (table, base∪delta, …). Centralizing this is what makes the answer-
+/// identity invariant a property of ONE block of code instead of three
+/// copies that must never drift.
 template <typename CellAt>
 void ApplySuperlativeAndCap(RowSet* rows,
                             const std::optional<Superlative>& superlative,
@@ -83,12 +83,12 @@ class RowBitmap {
 
 /// A row set flowing between plan nodes in whichever representation the
 /// producer found natural: a sorted vector (sparse index results) or a
-/// whole-universe bitmap (block-scan masks). The vectorized execution path
-/// (PlanNode::ExecuteLazy) passes these across adjacent set-operation nodes
-/// so a chain of Intersect/Union/Not stays word-parallel end to end instead
-/// of round-tripping through sorted vectors at every node boundary; the set
-/// denoted is identical either way, which is what keeps the vectorized path
-/// byte-identical to the scalar one.
+/// whole-universe bitmap (block-scan masks). Plan execution
+/// (PlanNode::Execute) passes these across adjacent set-operation nodes so
+/// a chain of Intersect/Union/Not stays word-parallel end to end instead of
+/// round-tripping through sorted vectors at every node boundary; the set
+/// denoted is identical either way, which is what keeps compiled plans
+/// byte-identical to the seed executor.
 struct LazyRowSet {
   /// Engaged = dense (bitmap) representation; `rows` is meaningful
   /// otherwise.

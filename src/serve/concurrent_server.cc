@@ -148,6 +148,11 @@ Result<core::AskResult> ConcurrentServer::AskImpl(
   if (question.empty()) {
     return Status::InvalidArgument("empty question");
   }
+  if (question.size() > kMaxQuestionBytes) {
+    return Status::InvalidArgument("question longer than " +
+                                   std::to_string(kMaxQuestionBytes) +
+                                   " bytes");
+  }
   // Pin the snapshot for the whole request: concurrent AddDomain/retrain
   // swaps don't affect us, and our cache entries are keyed on its version.
   core::EngineSnapshot::Ptr snap = engine_->snapshot();

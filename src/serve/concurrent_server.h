@@ -32,6 +32,8 @@
 //                      retrieval cut short (AskResult::degraded)
 //   deadline exceeded  kDeadlineExceeded — expired in queue or mid-pipeline
 //   shed               kOverloaded — never admitted, O(1) rejection
+// Questions that are empty or longer than kMaxQuestionBytes are refused
+// with kInvalidArgument (counted as errors) before any stage runs.
 #ifndef CQADS_SERVE_CONCURRENT_SERVER_H_
 #define CQADS_SERVE_CONCURRENT_SERVER_H_
 
@@ -50,6 +52,13 @@
 #include "serve/worker_pool.h"
 
 namespace cqads::serve {
+
+/// Longest question an ask may carry, in bytes; a longer one is refused
+/// with kInvalidArgument before any stage runs (NetServer refuses it even
+/// before queueing). Tagging cost grows with question length and steeply
+/// on unknown words, and the serving workers are shared, so every entry
+/// point bounds it. Generated paper questions stay under 130 bytes.
+inline constexpr std::size_t kMaxQuestionBytes = 1024;
 
 class ConcurrentServer {
  public:

@@ -29,6 +29,7 @@
 //   framing violation (zero/oversized frame)  close the connection
 //   malformed JSON payload                    error response, stay open
 //   question over kMaxQuestionBytes           invalid_argument, stay open
+//   (serve/concurrent_server.h), refused before it is queued
 //   peer disconnect with requests in flight   in-flight results are dropped
 //                                             at the closed outbox; the
 //                                             server and other connections
@@ -56,13 +57,6 @@ namespace cqads::serve::net {
 // cqads::serve::net the unqualified name `net` means THIS namespace, so
 // pull the fd type in explicitly.
 using ::cqads::net::Fd;
-
-/// Longest question an ask may carry, in bytes; a longer one is answered
-/// invalid_argument and the connection stays open. Tagging cost grows with
-/// question length and steeply on unknown words, and the serving workers
-/// are shared, so the wire bounds it. Generated paper questions stay under
-/// 130 bytes.
-inline constexpr std::size_t kMaxQuestionBytes = 1024;
 
 class NetServer {
  public:

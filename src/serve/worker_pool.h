@@ -1,7 +1,7 @@
 // A fixed-size worker pool with a FIFO task queue. Deliberately minimal:
 // the ConcurrentServer fans AskBatch out over it, tests drive it directly,
-// and — as a db::exec::TaskRunner — the partition-parallel plan executor
-// submits morsel helpers to it (safe to share with the serving fan-out: the
+// and — as a db::exec::TaskRunner — the top-k rank sweeps submit morsel
+// helpers to it (safe to share with the serving fan-out: the
 // morsel scheduler's caller participates, so queued-behind-queries helpers
 // can never deadlock a batch; see db/exec/morsel.h). Tasks must not throw
 // (library code is exception-free across module boundaries; see

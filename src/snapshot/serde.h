@@ -28,7 +28,6 @@
 #include "core/domain_lexicon.h"
 #include "core/engine_snapshot.h"
 #include "core/tags.h"
-#include "db/exec/partitioned_table.h"
 #include "db/exec/table_stats.h"
 #include "db/indexes.h"
 #include "db/schema.h"

@@ -146,7 +146,7 @@ TEST_P(PlannerDifferentialTest, PlannedExecutionMatchesSeedAcrossDomains) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerDifferentialTest,
                          ::testing::Values(0, 1, 2));
 
-TEST(PlannerDifferentialTest, EngineAnswersIdenticalWithPlannerOnAndOff) {
+TEST(PlannerDifferentialTest, EngineAnswersIdenticalFastAndReference) {
   db::Table table = cqads::testing::MiniCarTable();
   const char* questions[] = {
       "honda accord blue less than 15000 dollars",
@@ -157,20 +157,20 @@ TEST(PlannerDifferentialTest, EngineAnswersIdenticalWithPlannerOnAndOff) {
       "gold honda except automatic",
   };
 
-  core::CqadsEngine planner_engine;
-  ASSERT_TRUE(planner_engine.AddDomain(&table, qlog::TiMatrix()).ok());
-  core::EngineOptions seed_options;
-  seed_options.use_planner = false;
-  core::CqadsEngine seed_engine(seed_options);
-  ASSERT_TRUE(seed_engine.AddDomain(&table, qlog::TiMatrix()).ok());
+  core::CqadsEngine fast_engine;
+  ASSERT_TRUE(fast_engine.AddDomain(&table, qlog::TiMatrix()).ok());
+  core::EngineOptions reference_options;
+  reference_options.reference = true;
+  core::CqadsEngine reference_engine(reference_options);
+  ASSERT_TRUE(reference_engine.AddDomain(&table, qlog::TiMatrix()).ok());
 
   for (const char* q : questions) {
-    auto with_planner = planner_engine.AskInDomain("cars", q);
-    auto with_seed = seed_engine.AskInDomain("cars", q);
-    ASSERT_TRUE(with_planner.ok()) << q;
-    ASSERT_TRUE(with_seed.ok()) << q;
-    EXPECT_EQ(core::CanonicalAskResultString(with_planner.value()),
-              core::CanonicalAskResultString(with_seed.value()))
+    auto fast = fast_engine.AskInDomain("cars", q);
+    auto reference = reference_engine.AskInDomain("cars", q);
+    ASSERT_TRUE(fast.ok()) << q;
+    ASSERT_TRUE(reference.ok()) << q;
+    EXPECT_EQ(core::CanonicalAskResultString(fast.value()),
+              core::CanonicalAskResultString(reference.value()))
         << q;
   }
 }

@@ -231,5 +231,57 @@ TEST_F(ServeTest, AddDomainDuringServingBecomesVisible) {
   EXPECT_EQ(r.value().domain, "jewellery");
 }
 
+TEST_F(ServeTest, QuestionCapAppliesToEveryEntryPoint) {
+  // In-process callers get the wire's cap: at kMaxQuestionBytes a question
+  // is served, one byte over it is refused before any stage runs.
+  std::string at_cap = "red car";
+  while (at_cap.size() < kMaxQuestionBytes) at_cap += " blue";
+  at_cap.resize(kMaxQuestionBytes);
+  const std::string over = at_cap + "e";
+  ASSERT_EQ(over.size(), kMaxQuestionBytes + 1);
+
+  ConcurrentServer::Options options;
+  options.num_workers = 2;
+  ConcurrentServer server(&world_->engine(), options);
+  auto refused = [](const Result<core::AskResult>& r) {
+    return !r.ok() && r.status().code() == StatusCode::kInvalidArgument;
+  };
+
+  EXPECT_TRUE(server.Ask(at_cap).ok());
+  EXPECT_TRUE(refused(server.Ask(over)));
+  EXPECT_TRUE(server.AskInDomain("cars", at_cap).ok());
+  EXPECT_TRUE(refused(server.AskInDomain("cars", over)));
+
+  auto batch = server.AskBatch({at_cap, over, at_cap});
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_TRUE(batch[0].ok());
+  EXPECT_TRUE(refused(batch[1]));
+  EXPECT_TRUE(batch[2].ok());
+
+  std::atomic<int> done{0};
+  std::atomic<bool> at_cap_ok{false}, over_refused{false};
+  server.AskAsync(at_cap, Deadline::Infinite(),
+                  [&](Result<core::AskResult> r) {
+                    at_cap_ok.store(r.ok());
+                    done.fetch_add(1);
+                  });
+  server.AskAsync(over, Deadline::Infinite(),
+                  [&](Result<core::AskResult> r) {
+                    over_refused.store(refused(r));
+                    done.fetch_add(1);
+                  });
+  const auto timeout =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done.load() < 2 && std::chrono::steady_clock::now() < timeout) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(done.load(), 2);
+  EXPECT_TRUE(at_cap_ok.load());
+  EXPECT_TRUE(over_refused.load());
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.errors, 4u);  // the four over-cap asks
+}
+
 }  // namespace
 }  // namespace cqads::serve

@@ -4,6 +4,7 @@
 // engine-level reload byte-parity gate over every generated domain.
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "datagen/world.h"
 #include "db/table.h"
 #include "eval/experiments.h"
+#include "qlog/ti_matrix.h"
 #include "snapshot/io.h"
 #include "snapshot/serde.h"
 #include "snapshot/snapshot_file.h"
@@ -432,6 +434,90 @@ TEST_F(SnapshotEngineTest, IngestCompactResaveRoundTrips) {
   }
   std::remove(path.c_str());
   std::remove(path2.c_str());
+}
+
+TEST_F(SnapshotEngineTest, EveryEngineOptionPersists) {
+  core::EngineOptions options;
+  options.answer_cap = 12;
+  options.partial_trigger = 7;
+  options.enable_partial = false;
+  options.explain_plans = true;
+  options.exec_parallelism = 3;
+  options.reference = true;
+  core::CqadsEngine engine(options);
+  for (const auto& domain : world_->domains()) {
+    qlog::TiMatrix ti = qlog::TiMatrix::Build(*world_->query_log(domain));
+    ASSERT_TRUE(engine.AddDomain(world_->table(domain), std::move(ti)).ok());
+  }
+  engine.SetWordSimilarity(&world_->ws_matrix());
+  ASSERT_TRUE(engine.TrainClassifier().ok());
+
+  const std::string path = TempPath("options.snap");
+  ASSERT_TRUE(engine.SaveSnapshot(path).ok());
+  auto loaded = core::CqadsEngine::OpenSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  const core::EngineOptions& got = loaded.value()->snapshot()->options();
+  EXPECT_EQ(got.answer_cap, options.answer_cap);
+  EXPECT_EQ(got.partial_trigger, options.partial_trigger);
+  EXPECT_EQ(got.enable_partial, options.enable_partial);
+  EXPECT_EQ(got.explain_plans, options.explain_plans);
+  EXPECT_EQ(got.exec_parallelism, options.exec_parallelism);
+  EXPECT_EQ(got.reference, options.reference);
+  EXPECT_EQ(got.exec_runner, nullptr);  // process-local, never persisted
+
+  auto questions = eval::GenerateSurveyQuestions(*world_, 6, 6, 663);
+  std::size_t asked = 0;
+  for (const auto& [domain, qs] : questions) {
+    for (const auto& q : qs) {
+      auto a = engine.AskInDomain(domain, q.text);
+      auto b = loaded.value()->AskInDomain(domain, q.text);
+      ASSERT_EQ(a.ok(), b.ok()) << domain << ": " << q.text;
+      if (!a.ok()) continue;
+      ++asked;
+      EXPECT_LE(b.value().answers.size(), options.answer_cap);
+      EXPECT_EQ(core::CanonicalAskResultString(a.value()),
+                core::CanonicalAskResultString(b.value()))
+          << domain << ": " << q.text;
+    }
+  }
+  EXPECT_GT(asked, 20u);
+
+  // A file stamped with the previous format version is refused, and the
+  // error names both versions.
+  std::vector<char> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    }
+    std::fclose(f);
+  }
+  ASSERT_GE(bytes.size(), sizeof(snapshot::FileHeader));
+  snapshot::FileHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  ASSERT_EQ(h.format_version, 2u);
+  h.format_version = 1;
+  h.header_checksum = 0;
+  h.header_checksum = snapshot::XxHash64(&h, sizeof(h));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  const std::string v1_path = TempPath("options_v1.snap");
+  {
+    std::FILE* f = std::fopen(v1_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  auto v1 = core::CqadsEngine::OpenSnapshot(v1_path);
+  ASSERT_FALSE(v1.ok());
+  const std::string message = v1.status().ToString();
+  EXPECT_NE(message.find("v1"), std::string::npos) << message;
+  EXPECT_NE(message.find("v2"), std::string::npos) << message;
+  std::remove(path.c_str());
+  std::remove(v1_path.c_str());
 }
 
 }  // namespace

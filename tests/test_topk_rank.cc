@@ -1,10 +1,10 @@
-// The bounded top-k rank path (EngineOptions::use_topk_rank): TopK heap
-// semantics (exact (score desc, row asc) order, tie-safe threshold, k = 0
-// degenerate, schedule-independent merge), RankBounds block metadata,
-// randomized engine-level byte-parity of pruned/parallel ranking against
-// the frozen serial full-sort oracle across all eight datagen domains,
-// score-tie boundaries at answer_cap, delta rows + tombstones across a
-// compaction, deadline-degraded sweeps, rank counters through ExecStats and
+// The bounded top-k rank path (the fast path's partial ranking): the morsel
+// scheduler, TopK heap semantics (exact (score desc, row asc) order,
+// tie-safe threshold, k = 0 degenerate, schedule-independent merge),
+// RankBounds block metadata, engine-level byte-parity of pruned/parallel
+// ranking against the reference path's serial full sort, score-tie
+// boundaries at answer_cap, delta rows + tombstones across a compaction,
+// deadline-degraded sweeps, rank counters through ExecStats and
 // ConcurrentServer::StatsJson, and the TSan leg racing morsel-parallel rank
 // against ingest/retire/compaction.
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "datagen/domain_spec.h"
 #include "datagen/question_gen.h"
 #include "datagen/world.h"
+#include "db/exec/morsel.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/topk.h"
 #include "serve/concurrent_server.h"
@@ -38,6 +39,31 @@ namespace {
 using db::RowId;
 using db::exec::TopK;
 using db::exec::TopKEntry;
+
+// ------------------------------------------------------------ morsels
+
+TEST(MorselSchedulerTest, InlineWhenNoRunner) {
+  std::vector<int> hits(17, 0);
+  db::exec::RunMorsels(17, 4, nullptr,
+                       [&](std::size_t i) { hits[i]++; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(MorselSchedulerTest, EveryMorselRunsExactlyOnceOnPool) {
+  serve::WorkerPool pool(4);
+  constexpr std::size_t kMorsels = 250;
+  std::vector<std::atomic<int>> hits(kMorsels);
+  for (auto& h : hits) h = 0;
+  db::exec::RunMorsels(kMorsels, 4, &pool, [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(MorselSchedulerTest, ZeroMorselsIsANoop) {
+  serve::WorkerPool pool(2);
+  db::exec::RunMorsels(0, 4, &pool, [&](std::size_t) { FAIL(); });
+}
 
 // ------------------------------------------------------------- TopK unit
 
@@ -229,7 +255,9 @@ class TopKRankParityTest : public ::testing::TestWithParam<std::string> {
 datagen::World* TopKRankParityTest::world_ = nullptr;
 
 /// Asks every question under `on` then under `off` and requires canonical
-/// byte-identity pair by pair.
+/// byte-identity pair by pair. (The fast-vs-reference parity of this world's
+/// question stream is tests/test_vector_kernels.cc's
+/// AskByteIdenticalFastAndReference.)
 void ExpectAskParity(core::CqadsEngine& engine, const std::string& domain,
                      const std::vector<datagen::GeneratedQuestion>& questions,
                      const core::EngineOptions& on,
@@ -248,30 +276,6 @@ void ExpectAskParity(core::CqadsEngine& engine, const std::string& domain,
         << label << " " << domain << " q" << i << ": " << questions[i].text;
   }
   engine.SetOptions(core::EngineOptions());
-}
-
-// The pruned top-k path answers byte-identically to the frozen serial
-// full-sort oracle — vectorized and scalar.
-TEST_P(TopKRankParityTest, AskByteIdenticalTopKOnAndOff) {
-  const std::string& domain = GetParam();
-  const auto* spec = world_->spec(domain);
-  ASSERT_NE(spec, nullptr);
-  Rng rng(555);
-  auto questions = datagen::GenerateQuestions(
-      *spec, *world_->table(domain), 60, datagen::QuestionGenOptions(), &rng);
-
-  core::EngineOptions on;  // defaults: use_topk_rank = true
-  core::EngineOptions off;
-  off.use_topk_rank = false;
-  ExpectAskParity(world_->mutable_engine(), domain, questions, on, off,
-                  "vectorized");
-
-  core::EngineOptions on_scalar = on;
-  on_scalar.use_vector_kernels = false;
-  core::EngineOptions off_scalar = off;
-  off_scalar.use_vector_kernels = false;
-  ExpectAskParity(world_->mutable_engine(), domain, questions, on_scalar,
-                  off_scalar, "scalar");
 }
 
 // Partial ranking does real work on this stream, and the new ExecStats
@@ -302,7 +306,9 @@ TEST_P(TopKRankParityTest, RankCountersAccumulate) {
                 static_cast<std::size_t>(core::EngineOptions().answer_cap));
     }
   }
-  if (ranked_questions > 0) EXPECT_GT(blocks_visited, 0u);
+  if (ranked_questions > 0) {
+    EXPECT_GT(blocks_visited, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -361,7 +367,7 @@ class TieBoundaryTest : public ::testing::Test {
 
   void ExpectParity(const std::vector<std::string>& questions) {
     core::EngineOptions off;
-    off.use_topk_rank = false;
+    off.reference = true;
     std::vector<std::string> want;
     engine_.SetOptions(off);
     for (const auto& q : questions) want.push_back(CanonicalAsk(q));
@@ -710,7 +716,7 @@ TEST_F(CrossBlockTieTest, PreSelectionKeepsTiesAcrossBlocksAndMorsels) {
   parallel_on.exec_parallelism = 4;
   core::EngineOptions serial_on;
   core::EngineOptions serial_off;
-  serial_off.use_topk_rank = false;
+  serial_off.reference = true;
   ExpectAskParity(engine_, "cars", questions, parallel_on, serial_off,
                   "parallel");
   ExpectAskParity(engine_, "cars", questions, serial_on, serial_off,
@@ -755,7 +761,7 @@ TEST_F(BigDomainTest, MorselParallelRankMatchesSerialOracle) {
   parallel_on.exec_runner = &pool;
   parallel_on.exec_parallelism = 4;
   core::EngineOptions serial_off;
-  serial_off.use_topk_rank = false;
+  serial_off.reference = true;
   ExpectAskParity(world_->mutable_engine(), "cars", questions, parallel_on,
                   serial_off, "parallel");
 }

@@ -1,10 +1,10 @@
 // The vectorized execution path: every SIMD selection kernel differentially
 // tested against the scalar oracle on adversarial inputs (all-null columns,
 // kNullCode runs, non-multiple-of-64 tails, empty selections, single-row
-// tables), LazyRowSet algebra vs sorted-vector set semantics, plan-level
-// vectorize-on/off row-set identity, SimScorer::ScoreBlock vs per-row
-// Score, and engine-level byte-parity of the whole ask path with
-// use_vector_kernels on vs off across all eight datagen domains.
+// tables), LazyRowSet algebra vs sorted-vector set semantics, compiled
+// plans vs the seed executor, SimScorer::ScoreBlock vs per-row Score, and
+// engine-level byte-parity of the whole ask path, fast vs reference, across
+// all eight datagen domains.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +22,7 @@
 #include "db/exec/plan.h"
 #include "db/exec/rowset_ops.h"
 #include "db/exec/vector_kernels.h"
+#include "db/executor.h"
 #include "db/storage/column_store.h"
 
 namespace cqads {
@@ -354,10 +355,9 @@ class VectorParityTest : public ::testing::TestWithParam<std::string> {
 
 datagen::World* VectorParityTest::world_ = nullptr;
 
-// Plan-level: the lazy block-at-a-time evaluation of every compiled plan
-// (main + each N-1 relaxation) returns the exact row set of the scalar
-// reference execution.
-TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
+// Plan-level: every compiled plan (main + each N-1 relaxation) returns the
+// exact rows of the seed Type-rank executor over the same query.
+TEST_P(VectorParityTest, PlansMatchSeedExecutor) {
   const std::string& domain = GetParam();
   const auto* spec = world_->spec(domain);
   ASSERT_NE(spec, nullptr);
@@ -365,21 +365,40 @@ TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
   auto questions = datagen::GenerateQuestions(
       *spec, *world_->table(domain), 60, datagen::QuestionGenOptions(), &rng);
 
+  const db::Table& table = *world_->table(domain);
   std::size_t plans_checked = 0;
   for (const auto& q : questions) {
     auto parsed = world_->engine().Parse(domain, q.text);
     if (!parsed.ok()) continue;
-    std::vector<db::exec::PlanPtr> plans;
-    plans.push_back(parsed.value().plan);
-    for (const auto& rp : parsed.value().relaxed_plans) plans.push_back(rp);
-    for (const auto& plan : plans) {
-      if (plan == nullptr) continue;
-      db::ExecStats vec_stats, scalar_stats;
-      auto vec = plan->ExecuteRowSet(&vec_stats, /*vectorize=*/true);
-      auto scalar = plan->ExecuteRowSet(&scalar_stats, /*vectorize=*/false);
-      ASSERT_EQ(vec.ok(), scalar.ok()) << domain << " '" << q.text << "'";
-      if (!vec.ok()) continue;
-      ASSERT_EQ(vec.value(), scalar.value()) << domain << " '" << q.text << "'";
+    const core::ParsedQuestion& pq = parsed.value();
+    if (pq.plan != nullptr) {
+      auto plan = pq.plan->Execute();
+      auto seed = db::ExecuteQuery(table, pq.query);
+      ASSERT_EQ(plan.ok(), seed.ok()) << domain << " '" << q.text << "'";
+      if (plan.ok()) {
+        ASSERT_EQ(plan.value().rows, seed.value().rows)
+            << domain << " '" << q.text << "'";
+        ++plans_checked;
+      }
+    }
+    // Relaxation d: every unit but d, AND the fixed fragments, uncapped.
+    const auto& units = pq.assembled.units;
+    for (std::size_t d = 0; d < pq.relaxed_plans.size(); ++d) {
+      std::vector<db::ExprPtr> parts;
+      for (std::size_t u = 0; u < units.size(); ++u) {
+        if (u != d) parts.push_back(units[u].expr);
+      }
+      for (const auto& f : pq.assembled.fixed) parts.push_back(f);
+      db::Query relaxed;
+      relaxed.where = parts.empty() ? nullptr : db::Expr::MakeAnd(parts);
+      relaxed.limit = table.num_rows();
+      db::ExecStats stats;
+      auto plan = pq.relaxed_plans[d]->ExecuteRowSet(&stats);
+      auto seed = db::ExecuteQuery(table, relaxed);
+      ASSERT_EQ(plan.ok(), seed.ok()) << domain << " '" << q.text << "'";
+      if (!plan.ok()) continue;
+      ASSERT_EQ(plan.value(), seed.value().rows)
+          << domain << " '" << q.text << "' relaxation " << d;
       ++plans_checked;
     }
   }
@@ -427,9 +446,9 @@ TEST_P(VectorParityTest, ScoreBlockMatchesPerRowScore) {
   }
 }
 
-// Engine-level: the whole ask path answers byte-identically with the
-// vectorized path on vs off (the fig6 gate's in-tree twin).
-TEST_P(VectorParityTest, AskByteIdenticalVectorOnAndOff) {
+// Engine-level: the whole ask path answers byte-identically on the fast and
+// the reference path (the fig6 gate's in-tree twin).
+TEST_P(VectorParityTest, AskByteIdenticalFastAndReference) {
   const std::string& domain = GetParam();
   auto& engine = world_->mutable_engine();
   const auto* spec = world_->spec(domain);
@@ -439,9 +458,9 @@ TEST_P(VectorParityTest, AskByteIdenticalVectorOnAndOff) {
   auto questions = datagen::GenerateQuestions(
       *spec, *world_->table(domain), 60, datagen::QuestionGenOptions(), &rng);
 
-  core::EngineOptions on;  // defaults: use_vector_kernels = true
+  core::EngineOptions on;  // defaults: the fast path
   core::EngineOptions off;
-  off.use_vector_kernels = false;
+  off.reference = true;
 
   std::vector<std::string> on_answers, off_answers;
   engine.SetOptions(on);
